@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Sequence, Union
 
 from repro.bench.harness import ExperimentResult
 from repro.bench.report import format_table, improvement_factor
+from repro.codec import from_dict, to_dict
 from repro.errors import ReproError
 
 #: Schema version stamped into saved files; bump on breaking change.
@@ -32,19 +33,6 @@ class RunRecord:
         """Headline metric of the run."""
         return float(self.summary.get("successful_tps", 0.0))
 
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form for JSON serialisation."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "RunRecord":
-        """Rebuild a record from its JSON form."""
-        known = {name for name in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ReproError(f"unknown RunRecord fields: {sorted(unknown)}")
-        return cls(**data)
-
 
 def record_from_result(
     result: ExperimentResult,
@@ -67,7 +55,7 @@ def save_records(path: Union[str, Path], records: Sequence[RunRecord]) -> None:
     """Write ``records`` to ``path`` as JSON."""
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "records": [record.to_dict() for record in records],
+        "records": [to_dict(record) for record in records],
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -82,7 +70,7 @@ def load_records(path: Union[str, Path]) -> List[RunRecord]:
         raise ReproError(
             f"unsupported schema version {payload.get('schema_version')!r}"
         )
-    return [RunRecord.from_dict(entry) for entry in payload["records"]]
+    return [from_dict(RunRecord, entry) for entry in payload["records"]]
 
 
 def comparison_report(

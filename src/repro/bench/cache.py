@@ -4,9 +4,10 @@ Re-running a benchmark grid recomputes only the grid points whose spec
 actually changed: every completed run is stored under
 ``.repro-cache/<fingerprint>.json``, where the fingerprint is a SHA-256
 over the canonical JSON of (configuration, workload reference, duration,
-drain, package version, cache format). Any field change — a config knob,
-a workload parameter, the seed, the duration — produces a different key;
-bumping the package version invalidates everything at once.
+drain, code version). Any field change — a config knob, a workload
+parameter, the seed, the duration — produces a different key. The code
+version is a digest of the package sources, so any code edit
+invalidates everything at once.
 
 Only specs whose workload is a :class:`~repro.workloads.registry.WorkloadRef`
 are cacheable; closures and ad-hoc workload instances cannot be
@@ -22,38 +23,17 @@ not part of the key.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.bench.results import (
-    ExperimentResult,
-    config_to_dict,
-    metrics_from_dict,
-    metrics_to_dict,
-)
+from repro.bench.results import ExperimentResult, metrics_from_dict, metrics_to_dict
 from repro.bench.spec import ExperimentSpec
-
-#: Bump when the stored payload layout changes; invalidates old entries.
-#: 2: metrics snapshots may carry a "validation" key (pipeline stats),
-#: and configs gained the validation_workers/scheduler/pipeline_depth
-#: knobs — which flow into the key via config_to_dict automatically.
-#: 3: metrics snapshots may carry a "consensus" key, and configs gained
-#: orderer_nodes plus the nested ConsensusConfig timing knobs (also in
-#: the key via config_to_dict).
-#: 4: metrics snapshots may carry an "overload" key, and configs gained
-#: the nested traffic (ArrivalProcess) and backpressure
-#: (BackpressureConfig) knobs plus FaultSchedule.misbehaviors (all in
-#: the key via config_to_dict).
-#: 5: configs gained the cc_strategy knob (in the key via
-#: config_to_dict), ValidationStats snapshots gained a "strategy"
-#: field, and outcome tables may carry "abort_occ_ww".
-#: 6: configs gained the streaming_metrics knob (in the key via
-#: config_to_dict) and metric snapshots may carry a conditional
-#: "streaming" aggregate block.
-CACHE_FORMAT = 6
+from repro.codec import to_dict
+from repro.errors import ConfigError
 
 #: Default cache directory, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -61,18 +41,37 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
+#: Root of the package sources hashed into every cache key.
+PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
-def _package_version() -> str:
-    """The installed package version (part of every cache key)."""
-    import repro
 
-    return repro.__version__
+def source_digest(root: Path = PACKAGE_ROOT) -> str:
+    """SHA-256 over every ``.py`` file under ``root``, path and bytes.
+
+    Any edit to the simulator's code changes it, so a cache written by
+    other code never serves a result. :func:`code_version` memoizes it
+    for the package itself.
+    """
+    hasher = hashlib.sha256()
+    for path in sorted(Path(root).rglob("*.py")):
+        hasher.update(path.relative_to(root).as_posix().encode())
+        hasher.update(b"\0")
+        hasher.update(path.read_bytes())
+        hasher.update(b"\0")
+    return hasher.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def code_version() -> str:
+    """The package's source digest, computed once per process."""
+    return source_digest()
 
 
 def spec_fingerprint(spec: ExperimentSpec, version: Optional[str] = None) -> str:
     """Stable hex fingerprint of everything that determines a run's output.
 
-    Raises :class:`TypeError` for non-cacheable specs (workload not a
+    ``version`` defaults to :func:`code_version`. Raises
+    :class:`TypeError` for non-cacheable specs (workload not a
     :class:`WorkloadRef`).
     """
     if not spec.is_cacheable:
@@ -80,9 +79,8 @@ def spec_fingerprint(spec: ExperimentSpec, version: Optional[str] = None) -> str
             "only specs with a WorkloadRef workload can be fingerprinted"
         )
     payload = {
-        "cache_format": CACHE_FORMAT,
-        "version": version if version is not None else _package_version(),
-        "config": config_to_dict(spec.resolved_config()),
+        "version": version if version is not None else code_version(),
+        "config": to_dict(spec.resolved_config()),
         "workload": spec.workload.describe(),
         "duration": spec.duration,
         "drain": spec.drain,
@@ -112,8 +110,8 @@ class ResultCache:
 
     @property
     def version(self) -> str:
-        """The package version keyed into every fingerprint."""
-        return self._version if self._version is not None else _package_version()
+        """The code version keyed into every fingerprint."""
+        return self._version if self._version is not None else code_version()
 
     def key(self, spec: ExperimentSpec) -> Optional[str]:
         """The spec's cache key, or None when the spec is not cacheable."""
@@ -141,7 +139,9 @@ class ResultCache:
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError, ConfigError):
+            # ValueError covers JSONDecodeError; ConfigError is the codec's
+            # verdict on a payload that does not fit the current classes.
             try:
                 path.unlink()
             except OSError:
@@ -164,7 +164,6 @@ class ResultCache:
             return False
         self.root.mkdir(parents=True, exist_ok=True)
         payload = {
-            "cache_format": CACHE_FORMAT,
             "version": self.version,
             "fingerprint": key,
             "metrics": metrics_to_dict(result.metrics),

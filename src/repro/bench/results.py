@@ -12,24 +12,25 @@ factors, and multi-seed aggregation.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Union
 
-from repro.core.batch_cutter import BatchCutConfig
+from repro.codec import from_dict, to_dict
 from repro.errors import ReproError
-from repro.fabric.config import (
-    BackpressureConfig,
-    ConsensusConfig,
-    CostModel,
-    FabricConfig,
-    PopulationConfig,
+from repro.fabric.config import FabricConfig
+from repro.fabric.metrics import (
+    ChannelFleetStats,
+    ConsensusStats,
+    OverloadStats,
+    PipelineMetrics,
+    StreamingMetrics,
+    TxOutcome,
+    ValidationStats,
 )
-from repro.fabric.metrics import PipelineMetrics, TxOutcome
-from repro.faults import schedule_from_dict
-from repro.traffic import ArrivalProcess
+from repro.trace.cost import CostBreakdown
 
 #: Schema version stamped into serialised result sets; bump on breaking change.
-RESULTSET_SCHEMA = 1
+RESULTSET_SCHEMA = 2
 
 
 @dataclass
@@ -64,46 +65,20 @@ class ExperimentResult:
 # exactly through JSON (repr-based), so a replayed result is row-for-row
 # identical to the live run that produced it.
 
-
-def config_to_dict(config: FabricConfig) -> Dict[str, object]:
-    """Plain-dict form of a configuration (nested dataclasses included)."""
-    return asdict(config)
-
-
-def config_from_dict(data: Dict[str, object]) -> FabricConfig:
-    """Rebuild a :class:`FabricConfig` from :func:`config_to_dict` output."""
-    data = dict(data)
-    batch = BatchCutConfig(**data.pop("batch"))
-    costs = CostModel(**data.pop("costs"))
-    faults = schedule_from_dict(data.pop("faults", {}))
-    # Absent in pre-consensus snapshots (and cache entries they wrote).
-    consensus = ConsensusConfig(**data.pop("consensus", {}))
-    # Absent in pre-overload snapshots.
-    traffic = ArrivalProcess(**data.pop("traffic", {}))
-    backpressure = BackpressureConfig(**data.pop("backpressure", {}))
-    # Absent in pre-channel snapshots.
-    population = PopulationConfig(**data.pop("population", {}))
-    if "channel_cc_strategies" in data:
-        data["channel_cc_strategies"] = tuple(data["channel_cc_strategies"])
-    return FabricConfig(
-        batch=batch,
-        costs=costs,
-        faults=faults,
-        consensus=consensus,
-        traffic=traffic,
-        backpressure=backpressure,
-        population=population,
-        **data,
-    )
+#: Metric blocks a snapshot carries only when the run attached them, so
+#: snapshots of default runs stay byte-identical to pre-feature builds.
+OPTIONAL_METRICS = {
+    "cost_breakdown": CostBreakdown,
+    "validation": ValidationStats,
+    "consensus": ConsensusStats,
+    "overload": OverloadStats,
+    "channels": ChannelFleetStats,
+    "streaming": StreamingMetrics,
+}
 
 
 def metrics_to_dict(metrics: PipelineMetrics) -> Dict[str, object]:
-    """Full snapshot of one run's metrics (counters and samples).
-
-    The ``cost_breakdown`` key appears only when a traced run attached
-    one, so snapshots of untraced runs are byte-identical to those of
-    pre-trace builds (golden-hash discipline).
-    """
+    """Full snapshot of one run's metrics (counters and samples)."""
     snapshot = {
         "outcomes": {
             outcome.value: count
@@ -120,18 +95,10 @@ def metrics_to_dict(metrics: PipelineMetrics) -> Dict[str, object]:
         "fault_counters": dict(metrics.fault_counters),
         "fault_events": [list(event) for event in metrics.fault_events],
     }
-    if metrics.cost_breakdown is not None:
-        snapshot["cost_breakdown"] = metrics.cost_breakdown.to_dict()
-    if metrics.validation is not None:
-        snapshot["validation"] = metrics.validation.to_dict()
-    if metrics.consensus is not None:
-        snapshot["consensus"] = metrics.consensus.to_dict()
-    if metrics.overload is not None:
-        snapshot["overload"] = metrics.overload.to_dict()
-    if metrics.channels is not None:
-        snapshot["channels"] = metrics.channels.to_dict()
-    if metrics.streaming is not None:
-        snapshot["streaming"] = metrics.streaming.to_dict()
+    for name in OPTIONAL_METRICS:
+        value = getattr(metrics, name)
+        if value is not None:
+            snapshot[name] = to_dict(value)
     return snapshot
 
 
@@ -149,33 +116,11 @@ def metrics_from_dict(data: Dict[str, object]) -> PipelineMetrics:
     metrics.blocks_committed = data["blocks_committed"]
     metrics.block_sizes = list(data["block_sizes"])
     metrics.duration = data["duration"]
-    # Absent in pre-fault snapshots (and cache entries written by them).
-    metrics.fault_counters = dict(data.get("fault_counters", {}))
-    metrics.fault_events = [tuple(event) for event in data.get("fault_events", [])]
-    if "cost_breakdown" in data:
-        from repro.trace.cost import CostBreakdown
-
-        metrics.cost_breakdown = CostBreakdown.from_dict(data["cost_breakdown"])
-    if "validation" in data:
-        from repro.fabric.metrics import ValidationStats
-
-        metrics.validation = ValidationStats.from_dict(data["validation"])
-    if "consensus" in data:
-        from repro.fabric.metrics import ConsensusStats
-
-        metrics.consensus = ConsensusStats.from_dict(data["consensus"])
-    if "overload" in data:
-        from repro.fabric.metrics import OverloadStats
-
-        metrics.overload = OverloadStats.from_dict(data["overload"])
-    if "channels" in data:
-        from repro.fabric.metrics import ChannelFleetStats
-
-        metrics.channels = ChannelFleetStats.from_dict(data["channels"])
-    if "streaming" in data:
-        from repro.fabric.metrics import StreamingMetrics
-
-        metrics.streaming = StreamingMetrics.from_dict(data["streaming"])
+    metrics.fault_counters = dict(data["fault_counters"])
+    metrics.fault_events = [tuple(event) for event in data["fault_events"]]
+    for name, cls in OPTIONAL_METRICS.items():
+        if name in data:
+            setattr(metrics, name, from_dict(cls, data[name]))
     return metrics
 
 
@@ -185,7 +130,7 @@ def result_to_dict(result: ExperimentResult) -> Dict[str, object]:
         "label": result.label,
         "duration": result.duration,
         "params": dict(result.params),
-        "config": config_to_dict(result.config),
+        "config": to_dict(result.config),
         "metrics": metrics_to_dict(result.metrics),
     }
 
@@ -194,7 +139,7 @@ def result_from_dict(data: Dict[str, object]) -> ExperimentResult:
     """Rebuild an :class:`ExperimentResult` from :func:`result_to_dict`."""
     return ExperimentResult(
         label=data["label"],
-        config=config_from_dict(data["config"]),
+        config=from_dict(FabricConfig, data["config"]),
         metrics=metrics_from_dict(data["metrics"]),
         duration=data["duration"],
         params=dict(data["params"]),
@@ -296,7 +241,7 @@ class ResultSet:
                     "blocks": result.metrics.blocks_committed,
                     **{
                         f"saga_{key}": value
-                        for key, value in fleet.saga.summary().items()
+                        for key, value in to_dict(fleet.saga).items()
                     },
                 }
             )

@@ -302,7 +302,7 @@ class ShardedNetwork:
                 fleet.fault_events.append((time, kind, subject))
             row: Dict[str, object] = {
                 "channel": name,
-                "cc_strategy": runtime.config.resolved_cc_strategy,
+                "cc_strategy": runtime.config.cc_strategy,
                 "fired": metrics.fired,
                 "successful": metrics.successful,
                 "failed": metrics.failed,
@@ -359,7 +359,6 @@ class ShardedNetwork:
         first = stats[0]
         merged = ValidationStats(
             workers=first.workers,
-            scheduler=first.scheduler,
             pipeline_depth=first.pipeline_depth,
             strategy=first.strategy,
         )

@@ -166,28 +166,6 @@ class ChaosReport:
         """True when every invariant held and the run stayed live."""
         return self.liveness and self.converged and all(self.invariants.values())
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable form for the chaos report artifact."""
-        return {
-            "seed": self.seed,
-            "passed": self.passed,
-            "faults": list(self.faults),
-            "invariants": dict(self.invariants),
-            "liveness": self.liveness,
-            "converged": self.converged,
-            "details": list(self.details),
-            "fired": self.fired,
-            "resolved": self.resolved,
-            "committed": self.committed,
-            "blocks": self.blocks,
-            "elections": self.elections,
-            "leader_changes": self.leader_changes,
-            "messages_dropped": self.messages_dropped,
-            "txs_reproposed": self.txs_reproposed,
-            "duplicates_suppressed": self.duplicates_suppressed,
-            "sim_time": self.sim_time,
-        }
-
 
 def chaos_config(
     seed: int,

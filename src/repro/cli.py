@@ -31,7 +31,7 @@ queues) under the same invariant checks::
     python -m repro scenario --list
 
 Fault schedules can also be loaded from JSON with ``--faults-file``
-(the :meth:`~repro.faults.FaultSchedule.to_dict` layout), mutually
+(the :func:`repro.codec.to_dict` layout), mutually
 exclusive with the inline ``--crash/--stall/...`` flags.
 """
 
@@ -50,6 +50,7 @@ from repro.bench.harness import compare_fabric_vs_fabricpp, run_experiment
 from repro.bench.report import format_table, improvement_factor
 from repro.bench.spec import ExperimentSpec
 from repro.bench.sweep import run_sweep
+from repro.codec import from_dict, to_dict
 from repro.core.batch_cutter import BatchCutConfig
 from repro.errors import ConfigError, ReproError
 from repro.fabric.config import FabricConfig
@@ -84,7 +85,6 @@ SWEEPABLE = {
     "drop-rate": ("drop_rate", float),
     "jitter": ("jitter", float),
     "validation-workers": ("validation_workers", int),
-    "validation-scheduler": ("validation_scheduler", str),
     "pipeline-depth": ("pipeline_depth", int),
     "cc-strategy": ("cc_strategy", str),
     "orderer-nodes": ("orderer_nodes", int),
@@ -354,10 +354,6 @@ def _add_system_arguments(sub: argparse.ArgumentParser, with_system: bool) -> No
     sub.add_argument("--validation-workers", type=int, default=1, metavar="N",
                      help="modelled signature-verification lanes per peer "
                           "(default 1 = legacy inline serial validator)")
-    sub.add_argument("--validation-scheduler",
-                     choices=("serial", "dependency"), default="serial",
-                     help="MVCC commit scheduler: serial (default) or "
-                          "dependency-aware parallel waves")
     sub.add_argument("--pipeline-depth", type=int, default=1, metavar="K",
                      help="blocks in flight per channel: K>1 overlaps "
                           "verification of block n+1 with the commit of "
@@ -406,7 +402,7 @@ def _add_fault_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--faults-file", metavar="PATH", default=None,
         help="load a complete fault schedule from a JSON file (the "
-             "FaultSchedule.to_dict layout); mutually exclusive with the "
+             "repro.codec.to_dict layout); mutually exclusive with the "
              "inline fault flags below",
     )
     sub.add_argument(
@@ -466,8 +462,6 @@ def _load_faults_file(path: str) -> FaultSchedule:
     """Parse a JSON fault schedule written in the ``to_dict`` layout."""
     import json
 
-    from repro.faults import schedule_from_dict
-
     try:
         with open(path) as handle:
             data = json.load(handle)
@@ -475,13 +469,8 @@ def _load_faults_file(path: str) -> FaultSchedule:
         raise ConfigError(f"cannot read --faults-file {path!r}: {error}") from error
     except json.JSONDecodeError as error:
         raise ConfigError(f"bad JSON in --faults-file {path!r}: {error}") from error
-    if not isinstance(data, dict):
-        raise ConfigError(
-            f"bad --faults-file {path!r}: expected a JSON object, "
-            f"got {type(data).__name__}"
-        )
     try:
-        schedule = schedule_from_dict(data)
+        schedule = from_dict(FaultSchedule, data)
     except (ConfigError, TypeError) as error:
         raise ConfigError(f"bad --faults-file {path!r}: {error}") from error
     if (
@@ -624,7 +613,6 @@ def config_from_args(args: argparse.Namespace) -> FabricConfig:
         endorsement_policy=getattr(args, "policy", None),
         faults=faults_from_args(args),
         validation_workers=getattr(args, "validation_workers", 1),
-        validation_scheduler=getattr(args, "validation_scheduler", "serial"),
         pipeline_depth=getattr(args, "pipeline_depth", 1),
         cc_strategy=getattr(args, "cc_strategy", "serial"),
         orderer_nodes=getattr(args, "orderer_nodes", 1),
@@ -990,7 +978,9 @@ def command_chaos(args: argparse.Namespace) -> int:
             "orderer_nodes": args.orderer_nodes,
             "passed": passed,
             "failed": len(reports) - passed,
-            "runs": [report.to_dict() for report in reports],
+            "runs": [
+                {**to_dict(report), "passed": report.passed} for report in reports
+            ],
         }
         with open(args.report, "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
@@ -1042,7 +1032,9 @@ def command_scenario(args: argparse.Namespace) -> int:
             "system": args.system,
             "passed": passed,
             "failed": len(reports) - passed,
-            "runs": [report.to_dict() for report in reports],
+            "runs": [
+                {**to_dict(report), "passed": report.passed} for report in reports
+            ],
         }
         with open(args.report, "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 from repro.trace.cost import CostBreakdown
@@ -447,13 +447,10 @@ class ValidationStats:
 
     #: Configuration the stats were collected under.
     workers: int
-    scheduler: str
     pipeline_depth: int
     #: Registry name of the CC strategy that collected the stats
-    #: (``repro.validation.registry``). Empty in snapshots written
-    #: before the registry existed; :meth:`from_dict` then falls back to
-    #: ``scheduler``, which named the only strategies of that era.
-    strategy: str = ""
+    #: (``repro.validation.registry``).
+    strategy: str
     #: Blocks / transactions committed through the pipeline.
     blocks: int = 0
     txs: int = 0
@@ -502,9 +499,8 @@ class ValidationStats:
         """Flat dict of the headline pipeline numbers."""
         return {
             "workers": self.workers,
-            "scheduler": self.scheduler,
             "pipeline_depth": self.pipeline_depth,
-            "strategy": self.strategy or self.scheduler,
+            "strategy": self.strategy,
             "blocks": self.blocks,
             "txs": self.txs,
             "avg_critical_path": round(self.avg_critical_path(), 2),
@@ -512,39 +508,6 @@ class ValidationStats:
             "avg_queue_delay": round(self.avg_queue_delay(), 6),
             "worker_utilisation": round(self.worker_utilisation(duration), 4),
         }
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form for JSON round-tripping."""
-        return {
-            "workers": self.workers,
-            "scheduler": self.scheduler,
-            "pipeline_depth": self.pipeline_depth,
-            "strategy": self.strategy,
-            "blocks": self.blocks,
-            "txs": self.txs,
-            "critical_path_total": self.critical_path_total,
-            "verify_tasks": self.verify_tasks,
-            "queue_delay_total": self.queue_delay_total,
-            "lane_busy": list(self.lane_busy),
-            "horizon": self.horizon,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ValidationStats":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(
-            workers=data["workers"],
-            scheduler=data["scheduler"],
-            pipeline_depth=data["pipeline_depth"],
-            strategy=data.get("strategy", data["scheduler"]),
-            blocks=data["blocks"],
-            txs=data["txs"],
-            critical_path_total=data["critical_path_total"],
-            verify_tasks=data["verify_tasks"],
-            queue_delay_total=data["queue_delay_total"],
-            lane_busy=list(data["lane_busy"]),
-            horizon=data.get("horizon", 0.0),
-        )
 
 
 @dataclass
@@ -575,30 +538,6 @@ class ConsensusStats:
     #: Transactions whose second committed occurrence (failover double
     #: proposal) was suppressed by apply-time dedup.
     duplicate_txs_suppressed: int = 0
-
-    def summary(self) -> Dict[str, object]:
-        """Flat dict of the headline consensus numbers."""
-        return {
-            "nodes": self.nodes,
-            "elections_started": self.elections_started,
-            "leader_changes": self.leader_changes,
-            "max_term": self.max_term,
-            "messages_sent": self.messages_sent,
-            "messages_dropped": self.messages_dropped,
-            "entries_proposed": self.entries_proposed,
-            "entries_committed": self.entries_committed,
-            "txs_reproposed": self.txs_reproposed,
-            "duplicate_txs_suppressed": self.duplicate_txs_suppressed,
-        }
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form for JSON round-tripping."""
-        return self.summary()
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ConsensusStats":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(**data)
 
 
 @dataclass
@@ -664,27 +603,6 @@ class OverloadStats:
             "delivery_stall_seconds": round(self.delivery_stall_seconds, 4),
         }
 
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form for JSON round-tripping (raw counters only)."""
-        return {
-            "orderer_queue_limit": self.orderer_queue_limit,
-            "endorse_queue_limit": self.endorse_queue_limit,
-            "submissions": self.submissions,
-            "orderer_rejections": self.orderer_rejections,
-            "endorse_rejections": self.endorse_rejections,
-            "client_retries": self.client_retries,
-            "txs_shed": self.txs_shed,
-            "queue_depth_peak": self.queue_depth_peak,
-            "queue_depth_sum": self.queue_depth_sum,
-            "endorse_inflight_peak": self.endorse_inflight_peak,
-            "delivery_stall_seconds": self.delivery_stall_seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "OverloadStats":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(**data)
-
 
 @dataclass
 class SagaStats:
@@ -712,24 +630,6 @@ class SagaStats:
         """Sagas whose both legs reached a terminal outcome."""
         return self.committed + self.half_committed + self.aborted
 
-    def summary(self) -> Dict[str, object]:
-        """Flat dict of the saga counters."""
-        return {
-            "started": self.started,
-            "committed": self.committed,
-            "half_committed": self.half_committed,
-            "aborted": self.aborted,
-        }
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form for JSON round-tripping."""
-        return self.summary()
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "SagaStats":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(**data)
-
 
 @dataclass
 class ChannelFleetStats:
@@ -748,27 +648,6 @@ class ChannelFleetStats:
     per_channel: List[Dict[str, object]] = field(default_factory=list)
     #: Cross-channel saga accounting (all-zero when the run fired none).
     saga: SagaStats = field(default_factory=SagaStats)
-
-    def summary(self) -> Dict[str, object]:
-        """Flat dict of the headline fleet numbers."""
-        return {
-            "channels": self.channels,
-            "per_channel": [dict(row) for row in self.per_channel],
-            "saga": self.saga.summary(),
-        }
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form for JSON round-tripping."""
-        return self.summary()
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ChannelFleetStats":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(
-            channels=data["channels"],
-            per_channel=[dict(row) for row in data["per_channel"]],
-            saga=SagaStats.from_dict(data["saga"]),
-        )
 
 
 @dataclass
@@ -1094,9 +973,9 @@ class PipelineMetrics:
         if self.validation is not None:
             summary["validation"] = self.validation.summary(self.duration)
         if self.consensus is not None:
-            summary["consensus"] = self.consensus.summary()
+            summary["consensus"] = asdict(self.consensus)
         if self.overload is not None:
             summary["overload"] = self.overload.summary()
         if self.channels is not None:
-            summary["channels"] = self.channels.summary()
+            summary["channels"] = asdict(self.channels)
         return summary

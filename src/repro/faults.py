@@ -311,7 +311,7 @@ class FaultSchedule:
     The default instance is all-zero: no crashes, no loss, no jitter, no
     stalls, no endorsement timeout — and the network then builds no fault
     machinery at all. Every field participates in the experiment cache
-    fingerprint through :func:`~repro.bench.results.config_to_dict`.
+    fingerprint through :func:`~repro.codec.to_dict`.
     """
 
     #: Peer outages. The reference peer (``peer0`` of the first org) is
@@ -370,12 +370,6 @@ class FaultSchedule:
             and self.endorsement_timeout == 0.0
             and not self.misbehaviors
         )
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form (``asdict``); inverse of :func:`schedule_from_dict`."""
-        from dataclasses import asdict
-
-        return asdict(self)
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` if the schedule is inconsistent."""
@@ -455,64 +449,6 @@ class FaultSchedule:
                     "overlapping partition windows: "
                     f"({earlier.describe()}) and ({later.describe()})"
                 )
-
-
-def schedule_from_dict(data: Dict[str, object]) -> FaultSchedule:
-    """Rebuild a :class:`FaultSchedule` from its ``asdict`` form.
-
-    Accepts both tuples (fresh ``asdict``) and lists (after a JSON round
-    trip) for the window collections. Unknown top-level keys raise
-    :class:`ConfigError` naming the key, so a typo in a ``--faults-file``
-    fails loudly instead of silently configuring nothing.
-    """
-    from dataclasses import fields as dataclass_fields
-
-    data = dict(data)
-    known = {field.name for field in dataclass_fields(FaultSchedule)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        keys = ", ".join(repr(key) for key in unknown)
-        raise ConfigError(
-            f"unknown fault schedule key(s) {keys}; "
-            f"expected a subset of: {', '.join(sorted(known))}"
-        )
-    crashes = tuple(
-        window if isinstance(window, CrashWindow) else CrashWindow(**window)
-        for window in data.pop("crashes", ())
-    )
-    stalls = tuple(
-        window if isinstance(window, StallWindow) else StallWindow(**window)
-        for window in data.pop("stalls", ())
-    )
-    orderer_crashes = tuple(
-        window
-        if isinstance(window, OrdererCrashWindow)
-        else OrdererCrashWindow(**window)
-        for window in data.pop("orderer_crashes", ())
-    )
-    partitions = []
-    for window in data.pop("partitions", ()):
-        if isinstance(window, PartitionWindow):
-            partitions.append(window)
-            continue
-        window = dict(window)
-        window["groups"] = tuple(
-            tuple(group) for group in window.get("groups", ())
-        )
-        window["channels"] = tuple(window.get("channels", ()))
-        partitions.append(PartitionWindow(**window))
-    misbehaviors = tuple(
-        spec if isinstance(spec, MisbehaviorSpec) else MisbehaviorSpec(**spec)
-        for spec in data.pop("misbehaviors", ())
-    )
-    return FaultSchedule(
-        crashes=crashes,
-        stalls=stalls,
-        orderer_crashes=orderer_crashes,
-        partitions=tuple(partitions),
-        misbehaviors=misbehaviors,
-        **data,
-    )
 
 
 def assign_misbehaviors(

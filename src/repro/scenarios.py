@@ -310,31 +310,6 @@ class ScenarioReport:
         """True when every invariant held and the run stayed live."""
         return self.liveness and self.converged and all(self.invariants.values())
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable form for the scenario report artifact."""
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "system": self.system,
-            "passed": self.passed,
-            "invariants": dict(self.invariants),
-            "liveness": self.liveness,
-            "converged": self.converged,
-            "details": list(self.details),
-            "fired": self.fired,
-            "resolved": self.resolved,
-            "committed": self.committed,
-            "shed": self.shed,
-            "blocks": self.blocks,
-            "client_retries": self.client_retries,
-            "endorse_rejections": self.endorse_rejections,
-            "orderer_rejections": self.orderer_rejections,
-            "queue_depth_peak": self.queue_depth_peak,
-            "saga_started": self.saga_started,
-            "saga_half_committed": self.saga_half_committed,
-            "sim_time": self.sim_time,
-        }
-
 
 def run_scenario(
     name: str,

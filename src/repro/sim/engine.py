@@ -69,7 +69,6 @@ being processed.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from heapq import heappop, heappush
 from typing import Callable, Generator, Iterable, List, Optional
@@ -178,23 +177,6 @@ class Event:
             self._cbs = None
             for cb in cbs:
                 cb(self)
-
-    # -- deprecated public spelling -----------------------------------------
-
-    def add_callback(self, callback: Callable[["Event"], None]) -> None:
-        """Deprecated: wire waiters through processes or combinators.
-
-        Kept for one release so external scripts written against the old
-        engine keep running; internal code must use combinators (or the
-        private :meth:`_attach`).
-        """
-        warnings.warn(
-            "Event.add_callback is deprecated; wait on events from a "
-            "process, or compose them with AllOf/AnyOf ('&'/'|')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._attach(callback)
 
     # -- combinator operators ------------------------------------------------
 

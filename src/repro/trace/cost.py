@@ -104,22 +104,3 @@ class CostBreakdown:
         body = format_table(self.rows(), title=title)
         share = 100.0 * self.crypto_network_share()
         return f"{body}\ncrypto + network share: {share:.1f}%"
-
-    # -- (de)serialisation, for metrics snapshots and result rows ------------
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form, stable key order, for JSON round-tripping."""
-        return {
-            "seconds": {k: self.seconds[k] for k in sorted(self.seconds)},
-            "operations": {
-                k: self.operations[k] for k in sorted(self.operations)
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "CostBreakdown":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(
-            seconds=dict(data.get("seconds", {})),
-            operations=dict(data.get("operations", {})),
-        )

@@ -58,8 +58,8 @@ __all__ = [
 def build_validator(peer: "Peer", channel: str) -> Generator:
     """Return the validator generator for ``peer`` on ``channel``.
 
-    Dispatches the configuration's resolved CC strategy through the
+    Dispatches the configuration's ``cc_strategy`` through the
     registry; the all-default configuration resolves to the legacy
     serial loop.
     """
-    return build_strategy(peer.config.resolved_cc_strategy, peer, channel)
+    return build_strategy(peer.config.cc_strategy, peer, channel)

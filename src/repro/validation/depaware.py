@@ -230,7 +230,6 @@ class DepAwareValidator:
         if metrics.validation is None:
             metrics.validation = ValidationStats(
                 workers=self.config.validation_workers,
-                scheduler=STRATEGY,
                 pipeline_depth=self.config.pipeline_depth,
                 strategy=STRATEGY,
             )

@@ -174,7 +174,6 @@ class LocklessValidator:
         if metrics.validation is None:
             metrics.validation = ValidationStats(
                 workers=self.config.validation_workers,
-                scheduler=STRATEGY,
                 pipeline_depth=self.config.pipeline_depth,
                 strategy=STRATEGY,
             )

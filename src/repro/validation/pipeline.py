@@ -10,7 +10,7 @@ Three orthogonal mechanisms, each behind its own config knob:
    cost per transaction and lets the lanes provide the parallelism, so
    worker scaling, core contention and saturation are simulated.
 
-2. **MVCC scheduler** (``validation_scheduler``): ``serial`` runs the
+2. **MVCC scheduler** (``cc_strategy``): ``serial`` runs the
    conflict checks one transaction after the other in block order;
    ``dependency`` groups the block's transactions into topological waves
    of the intra-block dependency graph
@@ -68,22 +68,15 @@ class _VerifiedBlock:
 class PipelinedValidator:
     """Per-channel validation pipeline: fetch/verify stage + commit stage."""
 
-    def __init__(
-        self, peer: "Peer", channel: str, scheduler: Optional[str] = None
-    ) -> None:
+    def __init__(self, peer: "Peer", channel: str, scheduler: str) -> None:
         self.peer = peer
         self.channel = channel
         self.pcs = peer.channels[channel]
         self.config = peer.config
         self.costs = peer.config.costs
         self.vanilla = not peer.config.early_abort_simulation
-        # The CC-strategy registry passes the resolved scheduler
-        # explicitly; direct construction falls back to the config knob.
-        self.scheduler = (
-            scheduler
-            if scheduler is not None
-            else peer.config.validation_scheduler
-        )
+        #: "serial" or "dependency": the registry strategy that built us.
+        self.scheduler = scheduler
         self.pool = peer.verify_pool()
         #: Bounds the number of blocks in flight (verifying or waiting to
         #: commit). Depth 1 makes verify and commit strictly alternate;
@@ -326,7 +319,6 @@ class PipelinedValidator:
         if metrics.validation is None:
             metrics.validation = ValidationStats(
                 workers=self.config.validation_workers,
-                scheduler=self.scheduler,
                 pipeline_depth=self.config.pipeline_depth,
                 strategy=self.scheduler,
             )

@@ -3,7 +3,7 @@
 ROADMAP item 3: the peer's validation/commit stage is a seam where
 database-style concurrency control pays off, and several papers propose
 competing schemes. This registry generalises the old hard-wired
-``validation_scheduler=serial|dependency`` branch into named, pluggable
+serial/dependency scheduler branch into named, pluggable
 *strategies* (mirroring :mod:`repro.workloads.registry`): a strategy is
 a factory that, given a peer and a channel, returns the generator that
 owns the per-block verify/resolve/commit loop.

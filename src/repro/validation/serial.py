@@ -7,9 +7,8 @@ verification work by ``CostModel.validation_parallelism`` (an *assumed*
 worker pool). It remains the default because every golden hash in the
 test suite was captured under it — every other concurrency-control
 strategy in :mod:`repro.validation.registry` must be opted into via the
-``cc_strategy`` / ``validation_workers`` / ``validation_scheduler`` /
-``pipeline_depth`` knobs, and the default configuration stays
-bit-identical to the pre-pipeline build.
+``cc_strategy`` / ``validation_workers`` / ``pipeline_depth`` knobs, and
+the default configuration stays bit-identical to the pre-pipeline build.
 """
 
 from __future__ import annotations

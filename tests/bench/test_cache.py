@@ -1,10 +1,18 @@
 """Tests for the on-disk result cache and its fingerprint."""
 
+import json
+import shutil
 from dataclasses import replace
 
 import pytest
 
-from repro.bench.cache import ResultCache, spec_fingerprint
+from repro.bench.cache import (
+    PACKAGE_ROOT,
+    ResultCache,
+    code_version,
+    source_digest,
+    spec_fingerprint,
+)
 from repro.bench.harness import run_experiment
 from repro.bench.spec import ExperimentSpec
 from repro.core.batch_cutter import BatchCutConfig
@@ -91,6 +99,19 @@ def test_version_bump_invalidates(tmp_path):
     assert new.get(spec) is None
 
 
+def test_one_byte_source_edit_changes_the_key(tmp_path):
+    tree = tmp_path / "repro"
+    shutil.copytree(PACKAGE_ROOT, tree, ignore=shutil.ignore_patterns("__pycache__"))
+    assert source_digest(tree) == code_version()
+    spec = small_spec()
+    before = ResultCache(tmp_path, version=source_digest(tree)).key(spec)
+    module = tree / "fabric" / "peer.py"
+    module.write_bytes(module.read_bytes() + b" ")
+    after = ResultCache(tmp_path, version=source_digest(tree)).key(spec)
+    assert before == ResultCache(tmp_path).key(spec)
+    assert after != before
+
+
 def test_cache_ignores_non_cacheable_specs(tmp_path):
     cache = ResultCache(tmp_path)
     spec = small_spec(workload=BlankWorkload())
@@ -108,6 +129,19 @@ def test_corrupt_entry_degrades_to_miss(tmp_path):
     entry.write_text("{not json")
     assert cache.get(spec) is None
     assert not entry.exists()  # the damaged file was removed
+
+
+def test_entry_the_codec_rejects_degrades_to_miss(tmp_path):
+    cache = ResultCache(tmp_path)
+    spec = small_spec(config=replace(small_spec().config, cc_strategy="dependency"))
+    cache.put(spec, run_experiment(spec))
+    entry = next(tmp_path.glob("*.json"))
+    payload = json.loads(entry.read_text())
+    payload["metrics"]["validation"]["scheduler"] = "dependency"  # retired key
+    entry.write_text(json.dumps(payload))
+    assert cache.get(spec) is None
+    assert cache.misses == 1
+    assert not entry.exists()
 
 
 def test_clear_removes_everything(tmp_path):

@@ -1,5 +1,6 @@
 """Tests for the unified ResultSet and its serialisation helpers."""
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -7,14 +8,26 @@ import pytest
 from repro.bench.results import (
     ExperimentResult,
     ResultSet,
-    config_from_dict,
-    config_to_dict,
     result_from_dict,
     result_to_dict,
 )
+from repro.codec import from_dict, to_dict
 from repro.errors import ReproError
-from repro.fabric.config import FabricConfig
+from repro.fabric.config import (
+    BackpressureConfig,
+    FabricConfig,
+    PopulationConfig,
+)
 from repro.fabric.metrics import PipelineMetrics, TxOutcome
+from repro.faults import (
+    CrashWindow,
+    FaultSchedule,
+    MisbehaviorSpec,
+    OrdererCrashWindow,
+    PartitionWindow,
+    StallWindow,
+)
+from repro.traffic import ArrivalProcess
 
 
 def make_result(label, successes=10, failures=2, duration=2.0, params=None):
@@ -105,10 +118,39 @@ def test_aggregate_mean_and_stdev():
 
 def test_config_round_trip_preserves_nested_dataclasses():
     config = replace(FabricConfig(), seed=42).with_fabric_plus_plus()
-    clone = config_from_dict(config_to_dict(config))
+    clone = from_dict(FabricConfig, to_dict(config))
     assert clone == config
     assert clone.batch == config.batch
     assert clone.costs == config.costs
+
+    # Every nested dataclass and tuple field populated, through JSON text
+    # (which turns every tuple into a list).
+    full = replace(
+        FabricConfig(),
+        channels=2,
+        channel_cc_strategies=("dependency", "lockless"),
+        population=PopulationConfig(accounts=1_000_000, zipf_s=0.5),
+        orderer_nodes=3,
+        traffic=ArrivalProcess(kind="flash", rate=200.0, flash_factor=4.0),
+        backpressure=BackpressureConfig(orderer_queue_limit=64, client_retries=1),
+        max_resubmits=None,
+        faults=FaultSchedule(
+            crashes=(CrashWindow("peer1.OrgA.ch1", 0.5, 0.3),),
+            stalls=(StallWindow(0.2, 0.1),),
+            orderer_crashes=(OrdererCrashWindow(node=2, at=0.4, duration=0.2),),
+            partitions=(
+                PartitionWindow(at=0.1, duration=0.2, groups=((0,), (1, 2))),
+                PartitionWindow(at=0.8, duration=0.1, channels=(1,)),
+            ),
+            misbehaviors=(MisbehaviorSpec(kind="stale_replay", fraction=0.5),),
+            endorsement_timeout=0.05,
+        ),
+    ).with_fabric_plus_plus()
+    full.validate()
+    clone = from_dict(FabricConfig, json.loads(json.dumps(to_dict(full))))
+    assert clone == full
+    assert clone.faults.partitions[0].groups == ((0,), (1, 2))
+    assert hash(clone.faults) == hash(full.faults)
 
 
 def test_result_round_trip_preserves_metrics():

@@ -18,6 +18,7 @@ from repro.chaos import (
     run_chaos,
     run_chaos_suite,
 )
+from repro.codec import to_dict
 from repro.errors import ConfigError
 from repro.fabric.network import FabricNetwork
 from repro.sim.distributions import mix_seed
@@ -50,8 +51,8 @@ def test_suite_actually_exercises_faults(suite_reports):
 
 
 def test_chaos_run_is_deterministic_per_seed():
-    first = run_chaos(7).to_dict()
-    second = run_chaos(7).to_dict()
+    first = to_dict(run_chaos(7))
+    second = to_dict(run_chaos(7))
     assert first == second
 
 

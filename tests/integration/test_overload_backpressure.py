@@ -4,12 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bench.results import (
-    config_from_dict,
-    config_to_dict,
-    metrics_from_dict,
-    metrics_to_dict,
-)
+from repro.bench.results import metrics_from_dict, metrics_to_dict
+from repro.codec import from_dict, to_dict
 from repro.core.batch_cutter import BatchCutConfig
 from repro.errors import ConfigError
 from repro.fabric.config import BackpressureConfig, FabricConfig
@@ -144,7 +140,7 @@ def test_uncapped_resubmission_never_exhausts():
 
 def test_config_round_trips_traffic_and_backpressure():
     config = overload_config()
-    rebuilt = config_from_dict(config_to_dict(config))
+    rebuilt = from_dict(FabricConfig, to_dict(config))
     assert rebuilt == config
     assert rebuilt.traffic == ArrivalProcess(kind="poisson")
     assert rebuilt.backpressure == BOUNDED

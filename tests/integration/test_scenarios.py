@@ -4,6 +4,7 @@ import pytest
 
 from repro.bench.results import metrics_to_dict
 from repro.bench.sweep import run_sweep
+from repro.codec import to_dict
 from repro.errors import ConfigError
 from repro.scenarios import (
     get_scenario,
@@ -55,7 +56,7 @@ def test_unknown_scenario_lists_the_catalogue():
 def test_reports_are_deterministic():
     first = run_scenario("flash-crowd", seed=4)
     second = run_scenario("flash-crowd", seed=4)
-    assert first.to_dict() == second.to_dict()
+    assert to_dict(first) == to_dict(second)
 
 
 def test_scenario_specs_are_sweepable():

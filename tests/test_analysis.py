@@ -12,6 +12,7 @@ from repro.analysis import (
     save_records,
 )
 from repro.bench.harness import run_experiment
+from repro.codec import from_dict
 from repro.core.batch_cutter import BatchCutConfig
 from repro.errors import ReproError
 from repro.fabric.config import FabricConfig
@@ -58,7 +59,7 @@ def test_json_round_trip(tmp_path, result):
     save_records(path, records)
     loaded = load_records(path)
     assert len(loaded) == 1
-    assert loaded[0].to_dict() == records[0].to_dict()
+    assert loaded[0] == records[0]
 
 
 def test_load_rejects_garbage(tmp_path):
@@ -82,8 +83,8 @@ def test_load_rejects_wrong_schema(tmp_path):
 
 def test_from_dict_rejects_unknown_fields():
     with pytest.raises(ReproError):
-        RunRecord.from_dict({"label": "x", "workload": "y", "duration": 1,
-                             "seed": 0, "bogus": True})
+        from_dict(RunRecord, {"label": "x", "workload": "y", "duration": 1,
+                              "seed": 0, "bogus": True})
 
 
 def make_record(label, tps, workload="w", params=None):

@@ -478,12 +478,16 @@ def test_missing_faults_file_is_a_clean_error(tmp_path, capsys):
 
 def test_unknown_faults_file_key_is_named_in_the_error(tmp_path, capsys):
     path = tmp_path / "typo.json"
-    path.write_text('{"drop_probabilty": 0.1}')
-    exit_code = main(["run", "--faults-file", str(path), "--duration", "1"])
-    err = capsys.readouterr().err
-    assert exit_code == 2
-    assert "drop_probabilty" in err
-    assert str(path) in err
+    for content, typo in (
+        ('{"drop_probabilty": 0.1}', "drop_probabilty"),
+        ('{"crashes": [{"peer": "peer1.OrgA", "att": 0.5, "duration": 0.2}]}', "att"),
+    ):
+        path.write_text(content)
+        exit_code = main(["run", "--faults-file", str(path), "--duration", "1"])
+        err = capsys.readouterr().err
+        assert exit_code == 2
+        assert f"'{typo}'" in err
+        assert str(path) in err
 
 
 def test_faults_file_unknown_peer_fails_fast_with_name_and_path(tmp_path):

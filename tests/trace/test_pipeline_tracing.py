@@ -18,6 +18,7 @@ import pytest
 
 from repro.bench.harness import run_experiment_with_network
 from repro.bench.results import metrics_to_dict
+from repro.codec import to_dict
 from repro.trace import Tracer, chrome_trace_document, validate_chrome_trace
 
 from tests.integration.test_fault_determinism import (
@@ -81,7 +82,7 @@ def test_breakdown_reaches_metrics_and_summary(traced_run):
         tracer.breakdown.crypto_network_share(), abs=1e-4
     )
     snapshot = metrics_to_dict(result.metrics)
-    assert snapshot["cost_breakdown"] == tracer.breakdown.to_dict()
+    assert snapshot["cost_breakdown"] == to_dict(tracer.breakdown)
 
 
 def test_exported_chrome_trace_is_valid(traced_run):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.codec import from_dict, to_dict
 from repro.sim.engine import Environment
 from repro.trace import (
     ASYNC,
@@ -151,7 +152,7 @@ def test_breakdown_round_trips_through_dict():
     breakdown = CostBreakdown()
     breakdown.charge("verify", 0.125, count=3)
     breakdown.charge("ledger", 0.5)
-    clone = CostBreakdown.from_dict(breakdown.to_dict())
+    clone = from_dict(CostBreakdown, to_dict(breakdown))
     assert clone == breakdown
 
 

@@ -1,5 +1,5 @@
 """The CC-strategy registry and its plumbing: registration API, config
-threading (``cc_strategy`` / ``resolved_cc_strategy``), CLI flag, sweep
+threading (``cc_strategy``), CLI flag, sweep
 axis, cache fingerprint, and ValidationStats serialisation."""
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import pytest
 from repro.bench.cache import spec_fingerprint
 from repro.bench.spec import ExperimentSpec
 from repro.cli import SWEEPABLE, build_parser, config_from_args
+from repro.codec import from_dict, to_dict
 from repro.core.batch_cutter import BatchCutConfig
 from repro.errors import ConfigError
 from repro.fabric.config import FabricConfig
@@ -67,19 +68,17 @@ def test_default_config_resolves_to_serial():
     config = FabricConfig()
     config.validate()
     assert config.cc_strategy == "serial"
-    assert config.resolved_cc_strategy == "serial"
+    assert not config.uses_validation_pipeline
 
 
 def test_cc_strategy_overrides_resolution():
-    config = replace(FabricConfig(), cc_strategy="lockless")
-    config.validate()
-    assert config.resolved_cc_strategy == "lockless"
-
-
-def test_serial_cc_strategy_defers_to_legacy_scheduler_knob():
-    config = replace(FabricConfig(), validation_scheduler="dependency")
-    config.validate()
-    assert config.resolved_cc_strategy == "dependency"
+    for name in ("dependency", "lockless", "depaware"):
+        config = replace(FabricConfig(), cc_strategy=name)
+        config.validate()
+        assert config.cc_strategy == name
+        # The worker/depth knobs alone decide the serial strategy's
+        # pipeline; naming a strategy never flips it.
+        assert not config.uses_validation_pipeline
 
 
 def test_config_rejects_unknown_cc_strategy():
@@ -88,33 +87,12 @@ def test_config_rejects_unknown_cc_strategy():
         config.validate()
 
 
-def test_config_rejects_conflicting_cc_knobs():
-    config = replace(
-        FabricConfig(),
-        cc_strategy="lockless",
-        validation_scheduler="dependency",
-    )
-    with pytest.raises(ConfigError, match="conflicts"):
-        config.validate()
-
-
-def test_matching_cc_knobs_are_not_a_conflict():
-    config = replace(
-        FabricConfig(),
-        cc_strategy="dependency",
-        validation_scheduler="dependency",
-    )
-    config.validate()
-    assert config.resolved_cc_strategy == "dependency"
-
-
 # -- CLI -------------------------------------------------------------------
 
 
 def test_cli_forwards_cc_strategy():
     config = config_from_args(parse(["run", "--cc-strategy", "lockless"]))
     assert config.cc_strategy == "lockless"
-    assert config.resolved_cc_strategy == "lockless"
 
 
 def test_cli_default_cc_strategy_keeps_legacy_validator():
@@ -163,18 +141,14 @@ def test_fingerprint_distinguishes_cc_strategies():
 
 
 def test_validation_stats_strategy_round_trip():
-    stats = ValidationStats(
-        workers=2, scheduler="lockless", pipeline_depth=1, strategy="lockless"
-    )
-    data = stats.to_dict()
+    stats = ValidationStats(workers=2, pipeline_depth=1, strategy="lockless")
+    data = to_dict(stats)
     assert data["strategy"] == "lockless"
-    assert ValidationStats.from_dict(data) == stats
+    assert from_dict(ValidationStats, data) == stats
 
 
-def test_validation_stats_strategy_defaults_to_scheduler_on_old_snapshots():
-    stats = ValidationStats(workers=4, scheduler="dependency", pipeline_depth=2)
-    data = stats.to_dict()
-    del data["strategy"]  # snapshot written before the field existed
-    restored = ValidationStats.from_dict(data)
-    assert restored.strategy == "dependency"
-    assert restored.summary(duration=1.0)["strategy"] == "dependency"
+def test_pre_registry_validation_snapshot_is_rejected_by_name():
+    data = to_dict(ValidationStats(workers=4, pipeline_depth=2, strategy="dependency"))
+    data["scheduler"] = data.pop("strategy")  # the retired field
+    with pytest.raises(ConfigError, match="scheduler"):
+        from_dict(ValidationStats, data)

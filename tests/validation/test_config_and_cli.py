@@ -30,8 +30,8 @@ def parse(argv):
     [
         ("validation_workers", 0),
         ("validation_workers", -1),
-        ("validation_scheduler", "parallel"),
-        ("validation_scheduler", ""),
+        ("cc_strategy", "parallel"),
+        ("cc_strategy", ""),
         ("pipeline_depth", 0),
     ],
 )
@@ -49,7 +49,7 @@ def test_default_config_uses_legacy_validator():
     "overrides",
     [
         {"validation_workers": 2},
-        {"validation_scheduler": "dependency"},
+        {"validation_workers": 4, "cc_strategy": "dependency"},
         {"pipeline_depth": 2},
     ],
 )
@@ -68,13 +68,13 @@ def test_cli_forwards_validation_flags():
             [
                 "run",
                 "--validation-workers", "4",
-                "--validation-scheduler", "dependency",
+                "--cc-strategy", "dependency",
                 "--pipeline-depth", "2",
             ]
         )
     )
     assert config.validation_workers == 4
-    assert config.validation_scheduler == "dependency"
+    assert config.cc_strategy == "dependency"
     assert config.pipeline_depth == 2
     assert config.uses_validation_pipeline
 
@@ -86,11 +86,11 @@ def test_cli_defaults_keep_legacy_validator():
 
 def test_cli_rejects_unknown_scheduler():
     with pytest.raises(SystemExit):
-        parse(["run", "--validation-scheduler", "optimistic"])
+        parse(["run", "--cc-strategy", "optimistic"])
 
 
 def test_validation_knobs_are_sweepable():
-    for key in ("validation-workers", "validation-scheduler", "pipeline-depth"):
+    for key in ("validation-workers", "cc-strategy", "pipeline-depth"):
         assert key in SWEEPABLE
 
 
@@ -114,7 +114,7 @@ def test_fingerprint_distinguishes_validation_configs():
         base,
         replace(base, validation_workers=2),
         replace(base, validation_workers=4),
-        replace(base, validation_scheduler="dependency"),
+        replace(base, cc_strategy="dependency"),
         replace(base, pipeline_depth=2),
     ]
     fingerprints = [spec_fingerprint(small_spec(c)) for c in variants]
@@ -128,8 +128,8 @@ def test_validation_stats_round_trip_through_result_rows():
     metrics = PipelineMetrics()
     metrics.validation = ValidationStats(
         workers=4,
-        scheduler="dependency",
         pipeline_depth=2,
+        strategy="dependency",
         blocks=8,
         txs=189,
         critical_path_total=14,
@@ -138,7 +138,7 @@ def test_validation_stats_round_trip_through_result_rows():
         lane_busy=[0.33, 0.32, 0.28, 0.28],
     )
     snapshot = metrics_to_dict(metrics)
-    assert snapshot["validation"]["scheduler"] == "dependency"
+    assert snapshot["validation"]["strategy"] == "dependency"
     restored = metrics_from_dict(snapshot)
     assert restored.validation == metrics.validation
 

@@ -132,7 +132,7 @@ def test_all_variants_commit_identical_ledgers(seed, system):
     for scheduler, workers, depth in VARIANTS:
         config = replace(
             base_config(seed, system),
-            validation_scheduler=scheduler,
+            cc_strategy=scheduler,
             validation_workers=workers,
             pipeline_depth=depth,
         )
@@ -160,7 +160,7 @@ def test_pipeline_replay_records_validation_stats(system):
     blocks, _, _ = capture(seed, system)
     config = replace(
         base_config(seed, system),
-        validation_scheduler="dependency",
+        cc_strategy="dependency",
         validation_workers=4,
         pipeline_depth=2,
     )
@@ -172,7 +172,7 @@ def test_pipeline_replay_records_validation_stats(system):
     stats = network.metrics.validation
     assert stats is not None
     assert stats.workers == 4
-    assert stats.scheduler == "dependency"
+    assert stats.strategy == "dependency"
     assert stats.pipeline_depth == 2
     assert stats.blocks == len(blocks)
     assert stats.txs == sum(len(block) for block in blocks)

@@ -24,7 +24,7 @@ def pipeline_config(**overrides) -> FabricConfig:
         client_rate=120.0,
         seed=7,
         validation_workers=4,
-        validation_scheduler="dependency",
+        cc_strategy="dependency",
         pipeline_depth=2,
     )
     return replace(config, **overrides)
@@ -55,7 +55,7 @@ def test_pipeline_network_commits_and_reports_stats(system):
     assert stats.parallelism_factor() >= 1.0
     assert stats.avg_queue_delay() >= 0.0
     summary = metrics.summary()
-    assert summary["validation"]["scheduler"] == "dependency"
+    assert summary["validation"]["strategy"] == "dependency"
     # Every peer that stayed up converges on the reference chain.
     reference = network.reference_peer.channels[CHANNEL]
     for peer in network.peers:
@@ -66,7 +66,7 @@ def test_pipeline_network_commits_and_reports_stats(system):
 
 def test_default_config_reports_no_validation_stats():
     config = pipeline_config(
-        validation_workers=1, validation_scheduler="serial", pipeline_depth=1
+        validation_workers=1, cc_strategy="serial", pipeline_depth=1
     )
     metrics = FabricNetwork(config, workload()).run(duration=0.5, drain=1.0)
     assert metrics.validation is None
@@ -80,7 +80,7 @@ def test_pipeline_depth_overlaps_verify_with_commit():
     # rarely backlogs (blocks arrive slower than they commit), so the
     # stream is captured once and then delivered all at simulated t=0.
     base = pipeline_config(
-        validation_workers=1, validation_scheduler="serial", pipeline_depth=1
+        validation_workers=1, cc_strategy="serial", pipeline_depth=1
     ).with_vanilla()
     source = FabricNetwork(base, workload())
     source.run(duration=0.8, drain=2.0)

@@ -62,7 +62,7 @@ def test_block_span_committed_matches_metrics(system, overrides):
     assert spans, "run recorded no block.validate spans"
     span_committed = sum(span.args["committed"] for span in spans)
     assert span_committed == result.metrics.successful
-    expected = spec.config.resolved_cc_strategy
+    expected = spec.config.cc_strategy
     if overrides.get("validation_workers"):
         expected = "serial"
     assert {span.args["strategy"] for span in spans} == {expected}
