@@ -290,8 +290,9 @@ def _add_workload_arguments(sub: argparse.ArgumentParser) -> None:
                      help="smallbank: number of users")
     sub.add_argument("--prob-write", type=float, default=0.95,
                      help="smallbank: probability of a modifying transaction")
-    sub.add_argument("--s-value", type=float, default=0.0,
-                     help="smallbank: Zipf skew (0 = uniform)")
+    sub.add_argument("--s-value", type=float, default=None,
+                     help="smallbank/ycsb: Zipf skew (0 = uniform; default "
+                          "0 for smallbank, 0.99 for ycsb)")
     # Custom workload knobs (paper Table 7).
     sub.add_argument("--accounts", type=int, default=10_000,
                      help="custom: number of account balances (N)")
@@ -531,7 +532,7 @@ def workload_ref_from_args(args: argparse.Namespace) -> WorkloadRef:
             {
                 "num_users": args.users,
                 "prob_write": args.prob_write,
-                "s_value": args.s_value,
+                "s_value": 0.0 if args.s_value is None else args.s_value,
             },
             seed=args.seed,
         )
@@ -548,17 +549,15 @@ def workload_ref_from_args(args: argparse.Namespace) -> WorkloadRef:
             seed=args.seed,
         )
     if args.workload == "ycsb":
-        return WorkloadRef(
-            "ycsb",
-            {
-                "preset": args.ycsb_preset,
-                "num_records": args.records,
-                "s_value": args.s_value or 0.99,
-                "hotspot_interval": args.hotspot_interval,
-                "hot_set_drift": args.hot_set_drift,
-            },
-            seed=args.seed,
-        )
+        params = {
+            "preset": args.ycsb_preset,
+            "num_records": args.records,
+            "hotspot_interval": args.hotspot_interval,
+            "hot_set_drift": args.hot_set_drift,
+        }
+        if args.s_value is not None:
+            params["s_value"] = args.s_value
+        return WorkloadRef("ycsb", params, seed=args.seed)
     return WorkloadRef("blank")
 
 

@@ -540,6 +540,13 @@ class FabricConfig:
                         "partition windows with node groups require "
                         "orderer_nodes >= 2"
                     )
+        elif self.backpressure.delivery_backlog_limit > 0:
+            # The replicated ordering service has no delivery-credit
+            # step: the limit would be silently ignored.
+            raise ConfigError(
+                "backpressure.delivery_backlog_limit > 0 requires "
+                f"orderer_nodes == 1 (got orderer_nodes={self.orderer_nodes})"
+            )
         for partition in self.faults.partitions:
             if partition.channels:
                 if not self.uses_sharding:

@@ -209,10 +209,7 @@ class FabricNetwork:
             )
         self.orderers[channel] = orderer
         orderer.overload = self.overload
-        if (
-            self.config.backpressure.delivery_backlog_limit > 0
-            and isinstance(orderer, OrderingService)
-        ):
+        if self.config.backpressure.delivery_backlog_limit > 0:
             peers = list(self.peers)
             orderer.peer_backlog = lambda: max(
                 len(peer.channels[channel].incoming_blocks) for peer in peers

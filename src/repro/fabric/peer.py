@@ -34,11 +34,12 @@ from repro.ledger.state_db import StateDatabase, Version
 from repro.sim.engine import Environment, Process
 from repro.sim.resources import Resource, RWLock, Store
 from repro.trace.tracer import ASYNC, Tracer
-from repro.validation import build_validator
+from repro.validation import build_strategy
+from repro.validation.commit import VALIDATE_PRIORITY
 from repro.validation.workers import VerifyWorkerPool
 
-#: CPU scheduling bands within a peer: validation preempts endorsement.
-VALIDATE_PRIORITY = 0
+#: CPU scheduling band of endorsement; validation (``VALIDATE_PRIORITY``)
+#: preempts it.
 ENDORSE_PRIORITY = 10
 
 
@@ -149,7 +150,7 @@ class Peer:
         self.channels[channel] = state
         self._policies[channel] = policy
         self.env.process(
-            build_validator(self, channel),
+            build_strategy(self.config.cc_strategy, self, channel),
             name=f"{self.name}/{channel}/validator",
         )
 
@@ -296,10 +297,10 @@ class Peer:
     # -- validation + commit phase ----------------------------------------------
     #
     # The validator loop itself lives in ``repro.validation``:
-    # ``serial_validator`` (the legacy inline loop, default) or
-    # ``PipelinedValidator`` (worker lanes / dependency waves / cross-block
-    # overlap) — ``join_channel`` picks via ``build_validator``. The
-    # check helpers below are shared by both.
+    # ``join_channel`` builds the configured ``cc_strategy`` from the
+    # registry, and every strategy commits through
+    # ``repro.validation.commit``. The check helpers below are shared by
+    # all of them.
 
     def verify_pool(self) -> VerifyWorkerPool:
         """The peer's verification worker pool (created on first use).
@@ -319,19 +320,6 @@ class Peer:
                 tracer=self.tracer,
             )
         return self._verify_pool
-
-    def _validate_transaction(
-        self,
-        channel: str,
-        tx: Transaction,
-        pending_writes: Dict[str, Version],
-    ) -> TxOutcome:
-        """Run the two validation checks of Section 2.2.3."""
-        if not self._endorsements_valid(channel, tx):
-            return TxOutcome.ABORT_POLICY
-        if not self._reads_current(channel, tx, pending_writes):
-            return TxOutcome.ABORT_MVCC
-        return TxOutcome.COMMITTED
 
     def _endorsements_valid(self, channel: str, tx: Transaction) -> bool:
         """Endorsement-policy evaluation (paper Appendix A.3.1)."""

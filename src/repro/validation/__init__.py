@@ -22,11 +22,12 @@ strategy*, dispatched through :mod:`repro.validation.registry`:
 ledgers and per-transaction outcomes — only simulated timing changes.
 ``lockless`` intentionally diverges on intra-block write-write races
 (``abort_occ_ww``); the CC oracle test pins the exact bound.
+
+Every strategy commits through :mod:`repro.validation.commit`: it
+supplies only the ``check`` that decides outcomes and charges time.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING, Generator
 
 from repro.validation.pipeline import PipelinedValidator
 from repro.validation.registry import (
@@ -39,27 +40,14 @@ from repro.validation.registry import (
 from repro.validation.serial import serial_validator
 from repro.validation.workers import VerifyWorkerPool
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.fabric.peer import Peer
-
 __all__ = [
     "PipelinedValidator",
     "StrategyInfo",
     "VerifyWorkerPool",
     "build_strategy",
-    "build_validator",
     "get_strategy",
     "register_strategy",
     "serial_validator",
     "strategy_names",
 ]
 
-
-def build_validator(peer: "Peer", channel: str) -> Generator:
-    """Return the validator generator for ``peer`` on ``channel``.
-
-    Dispatches the configuration's ``cc_strategy`` through the
-    registry; the all-default configuration resolves to the legacy
-    serial loop.
-    """
-    return build_strategy(peer.config.cc_strategy, peer, channel)

@@ -33,26 +33,19 @@ Fabric++ applies winners' writes inline as each task decides).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Generator, List, Tuple
+from typing import TYPE_CHECKING, Generator, List
 
 from repro.core.conflict_graph import (
     build_validation_dependencies,
     dependency_waves,
 )
-from repro.fabric.metrics import TxOutcome, ValidationStats
-from repro.ledger.state_db import Version
-from repro.validation.serial import next_expected_block
+from repro.validation.commit import BlockCommit, commit_in_order
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fabric.peer import Peer
-    from repro.ledger.block import Block
     from repro.sim.engine import Event
 
 STRATEGY = "depaware"
-
-#: Mirror of ``repro.fabric.peer.VALIDATE_PRIORITY`` (imported lazily to
-#: avoid a module cycle; asserted equal in the test suite).
-VALIDATE_PRIORITY = 0
 
 
 class DepAwareValidator:
@@ -61,113 +54,52 @@ class DepAwareValidator:
     def __init__(self, peer: "Peer", channel: str) -> None:
         self.peer = peer
         self.channel = channel
-        self.pcs = peer.channels[channel]
-        self.config = peer.config
-        self.costs = peer.config.costs
-        self.vanilla = not peer.config.early_abort_simulation
         self.pool = peer.verify_pool()
 
     def run(self) -> Generator:
         """The validator loop; registered as the channel validator."""
-        return self._loop()
+        vanilla = not self.peer.config.early_abort_simulation
+        return commit_in_order(
+            self.peer,
+            self.channel,
+            self._check,
+            STRATEGY,
+            lock=vanilla,
+            inline=not vanilla,
+            pool=self.pool,
+        )
 
-    def _loop(self) -> Generator:
-        peer = self.peer
-        pcs = self.pcs
-        env = peer.env
-        costs = self.costs
-        speed = peer.speed_factor
-        while True:
-            block = yield from next_expected_block(pcs)
-            pcs.validating = True
-            tracer = peer.tracer
-            block_start = env.now
-            if self.vanilla:
-                # Like the pipeline's commit stage: only the
-                # state-touching phase takes the exclusive lock.
-                yield pcs.lock.acquire_write()
-            try:
-                yield from peer.cpu.use(
-                    costs.block_overhead * speed, VALIDATE_PRIORITY
-                )
-                if tracer is not None:
-                    tracer.charge("ledger", costs.block_overhead * speed)
-
-                graph = build_validation_dependencies(
-                    [tx.rwset for tx in block.transactions]
-                )
-                waves = dependency_waves(graph)
-
-                decided: List["Event"] = [
-                    env.event() for _ in block.transactions
-                ]
-                # Shared commit state, mutated by the tasks in decision
-                # (dataflow) order.
-                pending_writes: Dict[str, Version] = {}
-                valid_writes: List[Tuple[int, Dict[str, object]]] = []
-                committed = [0]
-                for index, tx in enumerate(block.transactions):
-                    preds = sorted(graph.predecessors(index))
-                    env.process(
-                        self._tx_task(
-                            block,
-                            index,
-                            tx,
-                            [decided[p] for p in preds],
-                            decided[index],
-                            pending_writes,
-                            valid_writes,
-                            committed,
-                        ),
-                        name=f"{peer.name}/{self.channel}/depaware-{index}",
-                    )
-                if decided:
-                    yield env.all_of(decided)
-
-                if self.vanilla:
-                    # Tasks append in decision order; the store applies
-                    # writes exactly as the serial validator would.
-                    valid_writes.sort(key=lambda entry: entry[0])
-                    pcs.state.apply_block_writes(block.block_id, valid_writes)
-                else:
-                    pcs.state.advance_block(block.block_id)
-                pcs.ledger.append(block)
-                if tracer is not None:
-                    tracer.span(
-                        "block.validate",
-                        cat="validate",
-                        track=f"{peer.name}/{self.channel}/validator",
-                        start=block_start,
-                        block_id=block.block_id,
-                        txs=len(block.transactions),
-                        committed=committed[0],
-                        strategy=STRATEGY,
-                        waves=len(waves),
-                    )
-            finally:
-                pcs.validating = False
-                if self.vanilla:
-                    pcs.lock.release_write()
-
-            if peer.is_reference and peer._metrics is not None:
-                peer._metrics.record_block(len(block.transactions))
-                self._sync_stats(len(waves), len(block.transactions))
+    def _check(self, commit: BlockCommit) -> Generator:
+        """Spawn one dataflow task per transaction; wait for them all."""
+        env = self.peer.env
+        transactions = commit.block.transactions
+        graph = build_validation_dependencies([tx.rwset for tx in transactions])
+        waves = dependency_waves(graph)
+        decided: List["Event"] = [env.event() for _ in transactions]
+        for index, tx in enumerate(transactions):
+            preds = sorted(graph.predecessors(index))
+            env.process(
+                self._tx_task(
+                    commit, index, tx, [decided[p] for p in preds], decided[index]
+                ),
+                name=f"{self.peer.name}/{self.channel}/depaware-{index}",
+            )
+        if decided:
+            yield env.all_of(decided)
+        return {"waves": len(waves)}
 
     def _tx_task(
         self,
-        block: "Block",
+        commit: BlockCommit,
         index: int,
         tx,
         pred_events: List["Event"],
         done: "Event",
-        pending_writes: Dict[str, Version],
-        valid_writes: List[Tuple[int, Dict[str, object]]],
-        committed: List[int],
     ) -> Generator:
         """One transaction's dataflow task: verify → wait preds → decide."""
         peer = self.peer
         env = peer.env
-        costs = self.costs
+        costs = peer.config.costs
         speed = peer.speed_factor
         tracer = peer.tracer
         tx_start = env.now
@@ -182,62 +114,7 @@ class DepAwareValidator:
         yield self.pool.submit(costs.mvcc_check * speed, label=tx.tx_id)
         if tracer is not None:
             tracer.charge("mvcc", costs.mvcc_check * speed)
-
-        if not policy_ok:
-            outcome = TxOutcome.ABORT_POLICY
-        elif not peer._reads_current(self.channel, tx, pending_writes):
-            outcome = TxOutcome.ABORT_MVCC
-        else:
-            outcome = TxOutcome.COMMITTED
-        valid = outcome is TxOutcome.COMMITTED
-        block.mark(tx.tx_id, valid)
-        if valid:
-            committed[0] += 1
-            version = Version(block.block_id, index)
-            if self.vanilla:
-                for key in tx.rwset.writes:
-                    pending_writes[key] = version
-                valid_writes.append((index, tx.rwset.writes))
-            else:
-                # Fabric++: the winner's writes apply atomically as soon
-                # as it decides — commit out of arrival order.
-                for key in tx.rwset.writes:
-                    pending_writes[key] = version
-                for key, value in tx.rwset.writes.items():
-                    self.pcs.state.apply_write(key, value, version)
-        else:
-            tx.failure_reason = outcome.value
-        if tracer is not None:
-            tracer.span(
-                "tx.validate",
-                cat="validate",
-                track=f"{peer.name}/{self.channel}/validator",
-                start=tx_start,
-                tx_id=tx.tx_id,
-                outcome=outcome.value,
-            )
-        if peer.is_reference:
-            peer._report(tx, outcome)
+        # Settling applies a Fabric++ winner's writes at once — commit
+        # out of arrival order.
+        commit.settle(index, tx, commit.outcome(tx, policy_ok), tx_start)
         done.succeed()
-
-    def _sync_stats(self, wave_count: int, tx_count: int) -> None:
-        """Attach/update the reference peer's validation stats.
-
-        Pool totals are copied (the pool is shared across channels, so
-        the copy is idempotent); per-block counters are incremented.
-        """
-        metrics = self.peer._metrics
-        if metrics.validation is None:
-            metrics.validation = ValidationStats(
-                workers=self.config.validation_workers,
-                pipeline_depth=self.config.pipeline_depth,
-                strategy=STRATEGY,
-            )
-        stats = metrics.validation
-        stats.blocks += 1
-        stats.txs += tx_count
-        stats.critical_path_total += wave_count
-        stats.verify_tasks = self.pool.tasks
-        stats.queue_delay_total = self.pool.queue_delay_total
-        stats.lane_busy = self.pool.lane_busy_times()
-        stats.horizon = self.peer.env.now

@@ -36,9 +36,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Generator, List
 
-from repro.fabric.metrics import TxOutcome, ValidationStats
+from repro.fabric.metrics import TxOutcome
 from repro.ledger.state_db import Version
-from repro.validation.serial import next_expected_block
+from repro.validation.commit import BlockCommit, commit_in_order
+from repro.validation.serial import folded_tx_charge
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fabric.peer import Peer
@@ -53,13 +54,17 @@ class LocklessValidator:
     def __init__(self, peer: "Peer", channel: str) -> None:
         self.peer = peer
         self.channel = channel
-        self.pcs = peer.channels[channel]
-        self.config = peer.config
-        self.costs = peer.config.costs
 
     def run(self) -> Generator:
         """The validator loop; registered as the channel validator."""
-        return self._loop()
+        return commit_in_order(
+            self.peer,
+            self.channel,
+            self._check,
+            STRATEGY,
+            lock=False,
+            inline=True,
+        )
 
     def _decide(self, block: "Block") -> List[TxOutcome]:
         """Phase 1: pure OCC decisions against the block-start snapshot.
@@ -87,100 +92,12 @@ class LocklessValidator:
             outcomes.append(outcome)
         return outcomes
 
-    def _loop(self) -> Generator:
-        peer = self.peer
-        pcs = self.pcs
-        costs = self.costs
-        speed = peer.speed_factor
-        while True:
-            block = yield from next_expected_block(pcs)
-            pcs.validating = True
-            tracer = peer.tracer
-            block_start = peer.env.now
-            committed_in_block = 0
-            ww_aborts = 0
-            try:
-                yield from peer.cpu.use(costs.block_overhead * speed)
-                if tracer is not None:
-                    tracer.charge("ledger", costs.block_overhead * speed)
-
-                # Phase 1 is free of simulated time; phase 2 below pays
-                # the same per-transaction validation cost as the serial
-                # baseline and applies the winners' writes inline.
-                outcomes = self._decide(block)
-                for index, tx in enumerate(block.transactions):
-                    tx_start = peer.env.now
-                    yield from peer.cpu.use(
-                        costs.tx_validation_cost(len(tx.endorsements))
-                        * speed
-                    )
-                    outcome = outcomes[index]
-                    valid = outcome is TxOutcome.COMMITTED
-                    block.mark(tx.tx_id, valid)
-                    if tracer is not None:
-                        verify_cost = (
-                            costs.verify_signature
-                            * len(tx.endorsements)
-                            / costs.validation_parallelism
-                        ) * speed
-                        tracer.charge(
-                            "verify", verify_cost, count=len(tx.endorsements)
-                        )
-                        tracer.charge("mvcc", costs.mvcc_check * speed)
-                        tracer.span(
-                            "tx.validate",
-                            cat="validate",
-                            track=f"{peer.name}/{self.channel}/validator",
-                            start=tx_start,
-                            tx_id=tx.tx_id,
-                            outcome=outcome.value,
-                        )
-                    committed_in_block += 1 if valid else 0
-                    if valid:
-                        version = Version(block.block_id, index)
-                        for key, value in tx.rwset.writes.items():
-                            pcs.state.apply_write(key, value, version)
-                    else:
-                        if outcome is TxOutcome.ABORT_OCC_WW:
-                            ww_aborts += 1
-                        tx.failure_reason = outcome.value
-                    if peer.is_reference:
-                        peer._report(tx, outcome)
-
-                pcs.state.advance_block(block.block_id)
-                pcs.ledger.append(block)
-                if tracer is not None:
-                    tracer.span(
-                        "block.validate",
-                        cat="validate",
-                        track=f"{peer.name}/{self.channel}/validator",
-                        start=block_start,
-                        block_id=block.block_id,
-                        txs=len(block.transactions),
-                        committed=committed_in_block,
-                        strategy=STRATEGY,
-                        ww_aborts=ww_aborts,
-                    )
-            finally:
-                pcs.validating = False
-
-            if peer.is_reference and peer._metrics is not None:
-                peer._metrics.record_block(len(block.transactions))
-                self._sync_stats(len(block.transactions))
-
-    def _sync_stats(self, tx_count: int) -> None:
-        """Attach/update the reference peer's validation stats."""
-        metrics = self.peer._metrics
-        if metrics.validation is None:
-            metrics.validation = ValidationStats(
-                workers=self.config.validation_workers,
-                pipeline_depth=self.config.pipeline_depth,
-                strategy=STRATEGY,
-            )
-        stats = metrics.validation
-        stats.blocks += 1
-        stats.txs += tx_count
-        # OCC validates strictly in block order: the critical path is
-        # the whole block.
-        stats.critical_path_total += tx_count
-        stats.horizon = self.peer.env.now
+    def _check(self, commit: BlockCommit) -> Generator:
+        """Phase 2: pay the serial baseline's per-transaction cost and
+        settle the phase-1 decisions, applying winners' writes inline."""
+        outcomes = self._decide(commit.block)
+        for index, tx in enumerate(commit.block.transactions):
+            tx_start = self.peer.env.now
+            yield from folded_tx_charge(self.peer, tx)
+            commit.settle(index, tx, outcomes[index], tx_start)
+        return {"ww_aborts": outcomes.count(TxOutcome.ABORT_OCC_WW)}

@@ -36,24 +36,25 @@ applied underneath it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Dict, Generator, List, Optional
 
 from repro.core.conflict_graph import (
     build_validation_dependencies,
     dependency_waves,
 )
-from repro.fabric.metrics import TxOutcome, ValidationStats
 from repro.ledger.block import Block
-from repro.ledger.state_db import Version
 from repro.sim.engine import Event
 from repro.sim.resources import Resource
+from repro.validation.commit import (
+    VALIDATE_PRIORITY,
+    BlockCommit,
+    commit_block,
+    next_expected_block,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fabric.peer import Peer
-
-#: Mirror of ``repro.fabric.peer.VALIDATE_PRIORITY`` (imported lazily to
-#: avoid a module cycle; asserted equal in the test suite).
-VALIDATE_PRIORITY = 0
 
 
 @dataclass
@@ -72,7 +73,6 @@ class PipelinedValidator:
         self.peer = peer
         self.channel = channel
         self.pcs = peer.channels[channel]
-        self.config = peer.config
         self.costs = peer.config.costs
         self.vanilla = not peer.config.early_abort_simulation
         #: "serial" or "dependency": the registry strategy that built us.
@@ -84,10 +84,6 @@ class PipelinedValidator:
         self.depth_tokens = Resource(peer.env, peer.config.pipeline_depth)
         self._ready: Dict[int, _VerifiedBlock] = {}
         self._ready_signal: Optional[Event] = None
-        #: Highest block id handed to the verify stage; the fetcher must
-        #: not re-fetch blocks that are in flight but not yet committed
-        #: (the ledger tip lags them by design).
-        self._last_fetched = 0
         peer.env.process(
             self._commit_loop(), name=f"{peer.name}/{channel}/committer"
         )
@@ -99,28 +95,13 @@ class PipelinedValidator:
     # -- stage 1: in-order fetch + parallel verify --------------------------
 
     def _fetch_verify(self) -> Generator:
-        pcs = self.pcs
-        env = self.peer.env
+        # The last block handed to the verify stage: blocks in flight but
+        # not yet committed must not be fetched again (the ledger tip
+        # lags them by design).
+        fetched = 0
         while True:
-            while True:
-                expected = max(pcs.ledger.tip_block_id, self._last_fetched) + 1
-                for stale_id in [
-                    block_id
-                    for block_id in pcs.pending_blocks
-                    if block_id < expected
-                ]:
-                    del pcs.pending_blocks[stale_id]  # applied via catch-up
-                if expected in pcs.pending_blocks:
-                    break
-                block = yield pcs.incoming_blocks.get()
-                if block.block_id >= (
-                    max(pcs.ledger.tip_block_id, self._last_fetched) + 1
-                ) and block.block_id not in pcs.pending_blocks:
-                    # First delivery wins: a re-gossiped duplicate of a
-                    # buffered id must not replace the original block.
-                    pcs.pending_blocks[block.block_id] = block
-            block = pcs.pending_blocks.pop(expected)
-            self._last_fetched = block.block_id
+            block = yield from next_expected_block(self.pcs, fetched)
+            fetched = block.block_id
             # Acquire an in-flight slot *before* verifying, so at most
             # ``pipeline_depth`` blocks occupy the pipeline at once.
             yield self.depth_tokens.request()
@@ -191,142 +172,49 @@ class PipelinedValidator:
                 yield self._ready_signal
             verified = self._ready.pop(pcs.ledger.tip_block_id + 1)
             try:
-                yield from self._commit_block(verified)
+                # Only the state-touching stage takes the exclusive lock;
+                # verification of later blocks proceeds around it.
+                yield from commit_block(
+                    self.peer,
+                    self.channel,
+                    verified.block,
+                    partial(self._mvcc_waves, policy_ok=verified.policy_ok),
+                    self.scheduler,
+                    lock=self.vanilla,
+                    inline=not self.vanilla,
+                    pool=self.pool,
+                )
             finally:
                 self.depth_tokens.release()
 
-    def _commit_block(self, verified: _VerifiedBlock) -> Generator:
+    def _mvcc_waves(self, commit: BlockCommit, policy_ok: List[bool]) -> Generator:
+        """Check the block's MVCC waves in order, on the lanes or the CPU."""
         peer = self.peer
-        pcs = self.pcs
         env = peer.env
-        costs = self.costs
-        tracer = peer.tracer
-        block = verified.block
-        speed = peer.speed_factor
-        block_start = env.now
-        committed_in_block = 0
-        if self.vanilla:
-            # Only the state-touching stage takes the exclusive lock;
-            # verification of later blocks proceeds around it.
-            yield pcs.lock.acquire_write()
-        pcs.validating = True
-        try:
-            yield from peer.cpu.use(
-                costs.block_overhead * speed, VALIDATE_PRIORITY
-            )
-            if tracer is not None:
-                tracer.charge("ledger", costs.block_overhead * speed)
-
+        mvcc_cost = self.costs.mvcc_check * peer.speed_factor
+        transactions = commit.block.transactions
+        if self.scheduler == "dependency":
+            graph = build_validation_dependencies([tx.rwset for tx in transactions])
+            waves = dependency_waves(graph)
+        else:
+            # Serial: every transaction is its own wave, in order.
+            waves = [[index] for index in range(len(transactions))]
+        for wave in waves:
+            wave_start = env.now
             if self.scheduler == "dependency":
-                graph = build_validation_dependencies(
-                    [tx.rwset for tx in block.transactions]
-                )
-                waves = dependency_waves(graph)
-            else:
-                # Serial: every transaction is its own wave, in order.
-                waves = [[index] for index in range(len(block.transactions))]
-
-            pending_writes: Dict[str, Version] = {}
-            valid_writes: List[Tuple[int, Dict[str, object]]] = []
-            for wave in waves:
-                wave_start = env.now
-                if self.scheduler == "dependency":
-                    events = [
-                        self.pool.submit(
-                            costs.mvcc_check * speed,
-                            label=block.transactions[index].tx_id,
-                        )
+                yield env.all_of(
+                    [
+                        self.pool.submit(mvcc_cost, label=transactions[index].tx_id)
                         for index in wave
                     ]
-                    yield env.all_of(events)
-                else:
-                    yield from peer.cpu.use(
-                        costs.mvcc_check * speed, VALIDATE_PRIORITY
-                    )
-                for index in wave:
-                    tx = block.transactions[index]
-                    if not verified.policy_ok[index]:
-                        outcome = TxOutcome.ABORT_POLICY
-                    elif not peer._reads_current(
-                        self.channel, tx, pending_writes
-                    ):
-                        outcome = TxOutcome.ABORT_MVCC
-                    else:
-                        outcome = TxOutcome.COMMITTED
-                    valid = outcome is TxOutcome.COMMITTED
-                    block.mark(tx.tx_id, valid)
-                    if tracer is not None:
-                        tracer.charge("mvcc", costs.mvcc_check * speed)
-                        tracer.span(
-                            "tx.validate",
-                            cat="validate",
-                            track=f"{peer.name}/{self.channel}/validator",
-                            start=wave_start,
-                            tx_id=tx.tx_id,
-                            outcome=outcome.value,
-                        )
-                    if valid:
-                        committed_in_block += 1
-                        version = Version(block.block_id, index)
-                        if self.vanilla:
-                            for key in tx.rwset.writes:
-                                pending_writes[key] = version
-                            valid_writes.append((index, tx.rwset.writes))
-                        else:
-                            for key, value in tx.rwset.writes.items():
-                                pcs.state.apply_write(key, value, version)
-                    else:
-                        tx.failure_reason = outcome.value
-                    if peer.is_reference:
-                        peer._report(tx, outcome)
-
-            if self.vanilla:
-                # Waves may visit indices out of block order; the store
-                # applies writes exactly as the serial validator would.
-                valid_writes.sort(key=lambda entry: entry[0])
-                pcs.state.apply_block_writes(block.block_id, valid_writes)
-            else:
-                pcs.state.advance_block(block.block_id)
-            pcs.ledger.append(block)
-            if tracer is not None:
-                tracer.span(
-                    "block.validate",
-                    cat="validate",
-                    track=f"{peer.name}/{self.channel}/validator",
-                    start=block_start,
-                    block_id=block.block_id,
-                    txs=len(block.transactions),
-                    committed=committed_in_block,
-                    strategy=self.scheduler,
-                    waves=len(waves),
                 )
-        finally:
-            pcs.validating = False
-            if self.vanilla:
-                pcs.lock.release_write()
-
-        if peer.is_reference and peer._metrics is not None:
-            peer._metrics.record_block(len(block.transactions))
-            self._sync_stats(len(waves), len(block.transactions))
-
-    def _sync_stats(self, wave_count: int, tx_count: int) -> None:
-        """Fold pipeline counters into the reference peer's metrics.
-
-        Pool totals are copied (the pool is shared across channels, so
-        the copy is idempotent); per-block counters are incremented.
-        """
-        metrics = self.peer._metrics
-        if metrics.validation is None:
-            metrics.validation = ValidationStats(
-                workers=self.config.validation_workers,
-                pipeline_depth=self.config.pipeline_depth,
-                strategy=self.scheduler,
-            )
-        stats = metrics.validation
-        stats.blocks += 1
-        stats.txs += tx_count
-        stats.critical_path_total += wave_count
-        stats.verify_tasks = self.pool.tasks
-        stats.queue_delay_total = self.pool.queue_delay_total
-        stats.lane_busy = self.pool.lane_busy_times()
-        stats.horizon = self.peer.env.now
+            else:
+                yield from peer.cpu.use(mvcc_cost, VALIDATE_PRIORITY)
+            for index in wave:
+                tx = transactions[index]
+                if peer.tracer is not None:
+                    peer.tracer.charge("mvcc", mvcc_cost)
+                commit.settle(
+                    index, tx, commit.outcome(tx, policy_ok[index]), wave_start
+                )
+        return {"waves": len(waves)}

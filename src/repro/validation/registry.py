@@ -1,12 +1,13 @@
 """The concurrency-control strategy registry — the CC zoo.
 
-ROADMAP item 3: the peer's validation/commit stage is a seam where
-database-style concurrency control pays off, and several papers propose
-competing schemes. This registry generalises the old hard-wired
-serial/dependency scheduler branch into named, pluggable
-*strategies* (mirroring :mod:`repro.workloads.registry`): a strategy is
-a factory that, given a peer and a channel, returns the generator that
-owns the per-block verify/resolve/commit loop.
+The peer's validation/commit stage is a seam where database-style
+concurrency control pays off, and several papers propose competing
+schemes. This registry names them as pluggable *strategies* (mirroring
+:mod:`repro.workloads.registry`): a strategy is a factory that, given a
+peer and a channel, returns the generator that owns the channel's
+validator loop. Each loop commits through
+:func:`repro.validation.commit.commit_block` and supplies only the
+per-block ``check``.
 
 Built-in strategies:
 

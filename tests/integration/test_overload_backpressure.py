@@ -172,5 +172,12 @@ def test_backpressure_validation():
             FabricConfig(),
             backpressure=BackpressureConfig(retry_backoff_base=0.0),
         ).validate()
+    # Raft ordering has no delivery-credit step: the limit must not be
+    # accepted and then silently ignored.
+    with pytest.raises(ConfigError, match="delivery_backlog_limit.*orderer_nodes"):
+        replace(
+            FabricConfig(orderer_nodes=3),
+            backpressure=BackpressureConfig(delivery_backlog_limit=4),
+        ).validate()
     assert BackpressureConfig().is_off
     assert not BOUNDED.is_off

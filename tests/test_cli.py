@@ -245,6 +245,15 @@ def test_ycsb_workload_via_cli():
     assert workload.params.mix == {"read": 0.95, "update": 0.05}
 
 
+def test_ycsb_s_value_zero_is_uniform_and_default_is_zipf():
+    explicit = parse(["run", "--workload", "ycsb", "--s-value", "0"])
+    assert workload_from_args(explicit).params.s_value == 0.0
+    default = parse(["run", "--workload", "ycsb"])
+    assert workload_from_args(default).params.s_value == 0.99
+    # Smallbank keeps its uniform default.
+    assert workload_from_args(parse(["run"])).params.s_value == 0.0
+
+
 # -- fault-injection flags ------------------------------------------------------
 
 
