@@ -4,8 +4,9 @@ This package is the paper's primary contribution, kept free of DES / network
 concerns so it can be tested and benchmarked standalone (the paper does the
 same in its Appendix B micro-benchmarks):
 
-- :mod:`repro.core.conflict_graph` — bit-vector read/write-set conflict
-  detection and conflict-graph construction (Algorithm 1, step 1);
+- :mod:`repro.core.conflict_graph` — read/write-set conflict detection
+  through a key -> transactions index, and conflict-graph construction
+  (Algorithm 1, step 1; the paper's bit vectors yield the same graph);
 - :mod:`repro.core.reorder` — cycle detection and removal plus serializable
   schedule generation (Algorithm 1, steps 2-5);
 - :mod:`repro.core.early_abort` — the within-block version-mismatch filter
@@ -15,7 +16,7 @@ same in its Appendix B micro-benchmarks):
 """
 
 from repro.core.batch_cutter import BatchCutter, CutReason
-from repro.core.conflict_graph import build_conflict_graph, KeyUniverse
+from repro.core.conflict_graph import build_conflict_graph
 from repro.core.early_abort import filter_stale_within_block
 from repro.core.reorder import ReorderResult, reorder
 
@@ -23,7 +24,6 @@ __all__ = [
     "BatchCutter",
     "CutReason",
     "build_conflict_graph",
-    "KeyUniverse",
     "filter_stale_within_block",
     "ReorderResult",
     "reorder",

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Set
 
-from repro.core.conflict_graph import KeyUniverse
 from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -73,7 +72,7 @@ class BatchCutter:
         self._batch: List["Transaction"] = []
         self._bytes = 0
         self._first_arrival: Optional[float] = None
-        self._universe = KeyUniverse()
+        self._keys: Set[str] = set()
         self.last_cut_reason: Optional[CutReason] = None
 
     def __len__(self) -> int:
@@ -92,7 +91,7 @@ class BatchCutter:
     @property
     def unique_keys(self) -> int:
         """Unique keys touched by the pending batch (0 if not tracked)."""
-        return len(self._universe)
+        return len(self._keys)
 
     def deadline(self) -> Optional[float]:
         """Simulated time at which the timeout criterion fires."""
@@ -112,8 +111,7 @@ class BatchCutter:
         self._batch.append(transaction)
         self._bytes += transaction.estimated_size_bytes()
         if self._track_unique_keys:
-            for key in transaction.rwset.unique_keys:
-                self._universe.position(key)
+            self._keys.update(transaction.rwset.unique_keys)
 
         if len(self._batch) >= self._config.max_transactions:
             return CutReason.TX_COUNT
@@ -121,7 +119,7 @@ class BatchCutter:
             return CutReason.BYTES
         if (
             self._track_unique_keys
-            and len(self._universe) >= self._config.max_unique_keys
+            and len(self._keys) >= self._config.max_unique_keys
         ):
             return CutReason.UNIQUE_KEYS
         return None
@@ -137,6 +135,6 @@ class BatchCutter:
         self._batch = []
         self._bytes = 0
         self._first_arrival = None
-        self._universe = KeyUniverse()
+        self._keys = set()
         self.last_cut_reason = reason
         return batch

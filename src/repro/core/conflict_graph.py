@@ -1,17 +1,18 @@
 """Conflict-graph construction from read/write sets (Algorithm 1, step 1).
 
-The paper builds, for every transaction, bit vectors over the unique keys
-the block touches — one for reads, one for writes — and finds conflicts via
-bitwise AND: Ti conflicts into Tj (edge Ti -> Tj) iff Ti writes a key that
-Tj reads. Python integers serve as arbitrary-width bit vectors, so the
-pairwise test is a single ``&`` per ordered pair, mirroring the paper's
-quadratic-but-cheap scheme ("the number of transactions to consider is very
-small in practice due to the limitation by the block size").
+Ti conflicts into Tj (edge Ti -> Tj) iff Ti writes a key that Tj reads.
+The paper finds these edges by building a read and a write bit vector per
+transaction over the block's unique keys and ANDing every ordered pair.
+That is an implementation choice: an index from each key to the
+transactions that read (or write) it, built once per graph, yields the
+same graph while visiting only the pairs that actually share a key, so
+a sparse block costs work in proportion to its shared keys, not n².
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from collections import defaultdict
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence
 
 from repro.graphalgo.digraph import DiGraph
 
@@ -19,48 +20,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fabric.rwset import ReadWriteSet
 
 
-class KeyUniverse:
-    """Maps the keys touched by a block to bit positions.
-
-    The same universe also answers "how many unique keys so far" — the
-    quantity bounded by Fabric++'s extra batch-cutting criterion.
-    """
-
-    def __init__(self) -> None:
-        self._positions: Dict[str, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._positions)
-
-    def position(self, key: str) -> int:
-        """Return the bit position for ``key``, assigning one if new."""
-        pos = self._positions.get(key)
-        if pos is None:
-            pos = len(self._positions)
-            self._positions[key] = pos
-        return pos
-
-    def bitvector(self, keys) -> int:
-        """Encode an iterable of keys as an integer bit vector."""
-        vector = 0
+def _key_index(key_sets: Iterable[Iterable[str]]) -> Dict[str, List[int]]:
+    """Map each key to the ascending indices of the key sets holding it."""
+    index: Dict[str, List[int]] = defaultdict(list)
+    for tx, keys in enumerate(key_sets):
         for key in keys:
-            vector |= 1 << self.position(key)
-        return vector
-
-
-def rwset_bitvectors(
-    rwsets: Sequence["ReadWriteSet"], universe: KeyUniverse = None
-) -> Tuple[List[int], List[int]]:
-    """Return (read_vectors, write_vectors) for ``rwsets``.
-
-    These correspond to the paper's ``vec_r(Ti)`` and ``vec_w(Ti)``
-    (Table 3 interpreted as rows of bits).
-    """
-    if universe is None:
-        universe = KeyUniverse()
-    read_vectors = [universe.bitvector(rwset.reads) for rwset in rwsets]
-    write_vectors = [universe.bitvector(rwset.writes) for rwset in rwsets]
-    return read_vectors, write_vectors
+            index[key].append(tx)
+    return index
 
 
 def build_conflict_graph(rwsets: Sequence["ReadWriteSet"]) -> DiGraph:
@@ -68,18 +34,22 @@ def build_conflict_graph(rwsets: Sequence["ReadWriteSet"]) -> DiGraph:
 
     Nodes are the transaction indices ``0..len(rwsets)-1``; an edge
     ``i -> j`` means transaction ``i`` writes a key that transaction ``j``
-    reads, so any serializable schedule must place ``j`` before ``i``.
-    A transaction's conflict with itself (reading a key it also writes) is
-    not an edge — the paper only considers pairs with ``j != i``.
+    reads (a point read or a key in a range-scan result), so any
+    serializable schedule must place ``j`` before ``i``. A transaction's
+    conflict with itself (reading a key it also writes) is not an edge —
+    the paper only considers pairs with ``j != i``. Edges are added with
+    ``i`` ascending, then ``j`` ascending, so the adjacency (and every
+    algorithm walking it) does not depend on string hashing.
     """
-    read_vectors, write_vectors = rwset_bitvectors(rwsets)
+    readers = _key_index(rwset.read_keys for rwset in rwsets)
     graph = DiGraph(range(len(rwsets)))
-    for i, writes in enumerate(write_vectors):
-        if not writes:
-            continue
-        for j, reads in enumerate(read_vectors):
-            if i != j and writes & reads:
-                graph.add_edge(i, j)
+    for i, rwset in enumerate(rwsets):
+        targets = set()
+        for key in rwset.writes:
+            targets.update(readers.get(key, ()))
+        targets.discard(i)
+        for j in sorted(targets):
+            graph.add_edge(i, j)
     return graph
 
 
@@ -126,19 +96,29 @@ def build_validation_dependencies(rwsets: Sequence["ReadWriteSet"]) -> DiGraph:
     Edges only point from lower to higher index, so the graph is acyclic
     by construction and block order is always a valid topological order.
     """
-    universe = KeyUniverse()
-    read_vectors = [universe.bitvector(rwset.read_keys) for rwset in rwsets]
-    write_vectors = [universe.bitvector(rwset.writes) for rwset in rwsets]
+    read_keys = [rwset.read_keys for rwset in rwsets]
+    readers = _key_index(read_keys)
+    writers = _key_index(rwset.writes for rwset in rwsets)
+    scanners = [i for i, rwset in enumerate(rwsets) if rwset.range_reads]
     graph = DiGraph(range(len(rwsets)))
-    for j in range(len(rwsets)):
-        for i in range(j):
-            if (
-                write_vectors[i] & (read_vectors[j] | write_vectors[j])
-                or read_vectors[i] & write_vectors[j]
-                or _writes_into_ranges(rwsets[i], rwsets[j])
-                or _writes_into_ranges(rwsets[j], rwsets[i])
-            ):
-                graph.add_edge(i, j)
+    for j, rwset in enumerate(rwsets):
+        preds = set()
+        for key in rwset.writes:
+            preds.update(writers[key])
+            preds.update(readers.get(key, ()))
+        for key in read_keys[j]:
+            preds.update(writers.get(key, ()))
+        # Phantom coverage is not key-shared, so it stays pairwise, but
+        # only for the pairs where one side scanned a range.
+        if rwset.range_reads:
+            preds.update(
+                i for i in range(j) if _writes_into_ranges(rwsets[i], rwset)
+            )
+        preds.update(
+            i for i in scanners if i < j and _writes_into_ranges(rwset, rwsets[i])
+        )
+        for i in sorted(i for i in preds if i < j):
+            graph.add_edge(i, j)
     return graph
 
 

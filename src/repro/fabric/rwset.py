@@ -103,22 +103,6 @@ class ReadWriteSet:
         """True for blank transactions that touched no state."""
         return not self.reads and not self.writes and not self.range_reads
 
-    def conflicts_into(self, other: "ReadWriteSet") -> bool:
-        """True if self writes a key that ``other`` reads (Ti -> Tj).
-
-        This is the paper's conflict definition (Section 5.1): an edge
-        Ti -> Tj exists when Ti's writes intersect Tj's reads, and then a
-        serializable schedule must order Tj before Ti.
-        """
-        writes = self.writes
-        if any(key in writes for key in other.reads):
-            return True
-        return any(
-            key in writes
-            for range_read in other.range_reads
-            for key in range_read.result_keys()
-        )
-
     def canonical_bytes(self) -> bytes:
         """Deterministic byte encoding, the payload endorsers sign.
 

@@ -1,38 +1,21 @@
 """Unit tests for conflict-graph construction."""
 
+from unittest import mock
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.core import conflict_graph
+from repro.core.batch_cutter import BatchCutConfig, BatchCutter, CutReason
 from repro.core.conflict_graph import (
-    KeyUniverse,
     build_conflict_graph,
-    rwset_bitvectors,
+    build_validation_dependencies,
     schedule_is_serializable,
 )
-from tests.conftest import rwset
-
-
-def test_key_universe_assigns_stable_positions():
-    universe = KeyUniverse()
-    assert universe.position("a") == 0
-    assert universe.position("b") == 1
-    assert universe.position("a") == 0
-    assert len(universe) == 2
-
-
-def test_key_universe_bitvector():
-    universe = KeyUniverse()
-    vector = universe.bitvector(["a", "b", "d"])
-    universe.position("c")  # c gets position 2... after d? order: a=0,b=1,d=2,c=3
-    assert vector == 0b111  # a,b,d occupy the first three positions
-    assert universe.bitvector(["c"]) == 0b1000
-
-
-def test_bitvectors_match_table3(table3):
-    """Row T0 of Table 3 reads K0,K1 and writes K2."""
-    reads, writes = rwset_bitvectors(table3)
-    # The universe assigns positions in first-seen order across rwsets:
-    # T0 reads K0,K1 -> bits 0,1; T0 writes K2 -> next bit when seen.
-    assert reads[0] & writes[0] == 0
-    assert reads[5] == 0  # T5 reads nothing
-    assert bin(writes[4]).count("1") == 3  # T4 writes three keys
+from repro.fabric.rwset import RangeRead
+from repro.fabric.transaction import Proposal, Transaction
+from repro.graphalgo.digraph import DiGraph
+from tests.conftest import V1, rwset
 
 
 def test_no_conflict_no_edges():
@@ -127,3 +110,127 @@ def test_edge_orientation_writer_to_reader():
     assert list(graph.edges()) == [(0, 1)]
     assert schedule_is_serializable(block, [1, 0])
     assert not schedule_is_serializable(block, [0, 1])
+
+
+# -- the key index against the paper's pairwise scheme --------------------------
+
+KEYS = ["a", "b", "c", "d", "e", "f"]
+
+
+def _sets(rwsets):
+    return (
+        [set(rwset.read_keys) for rwset in rwsets],
+        [set(rwset.writes) for rwset in rwsets],
+    )
+
+
+def _writes_into_ranges(writer, reader):
+    return any(
+        range_read.start_key <= key
+        and (range_read.end_key is None or key < range_read.end_key)
+        for range_read in reader.range_reads
+        for key in writer.writes
+    )
+
+
+class RecordingDiGraph(DiGraph):
+    """A graph that remembers the order of its ``add_edge`` calls, which
+    fixes the iteration order of every adjacency set."""
+
+    def __init__(self, nodes=()):
+        self.added = []
+        super().__init__(nodes)
+
+    def add_edge(self, source, target):
+        self.added.append((source, target))
+        super().add_edge(source, target)
+
+
+def pairwise_conflict_graph(rwsets):
+    """Algorithm 1, step 1 as the paper states it: test every ordered pair."""
+    reads, writes = _sets(rwsets)
+    graph = RecordingDiGraph(range(len(rwsets)))
+    for i in range(len(rwsets)):
+        for j in range(len(rwsets)):
+            if i != j and writes[i] & reads[j]:
+                graph.add_edge(i, j)
+    return graph
+
+
+def pairwise_validation_dependencies(rwsets):
+    """Every hazard of the sequential validator, tested for every i < j."""
+    reads, writes = _sets(rwsets)
+    graph = RecordingDiGraph(range(len(rwsets)))
+    for j in range(len(rwsets)):
+        for i in range(j):
+            if (
+                writes[i] & (reads[j] | writes[j])
+                or reads[i] & writes[j]
+                or _writes_into_ranges(rwsets[i], rwsets[j])
+                or _writes_into_ranges(rwsets[j], rwsets[i])
+            ):
+                graph.add_edge(i, j)
+    return graph
+
+
+@st.composite
+def range_reads(draw):
+    start = draw(st.sampled_from(KEYS))
+    end = draw(st.sampled_from([k for k in KEYS if k > start] + [None]))
+    covered = [k for k in KEYS if k >= start and (end is None or k < end)]
+    results = draw(st.lists(st.sampled_from(covered), unique=True).map(sorted))
+    return RangeRead(start, end, tuple((key, V1) for key in results))
+
+
+@st.composite
+def rwsets(draw):
+    result = rwset(
+        reads=draw(st.lists(st.sampled_from(KEYS), unique=True, max_size=3)),
+        writes=draw(st.lists(st.sampled_from(KEYS), unique=True, max_size=3)),
+    )
+    for range_read in draw(st.lists(range_reads(), max_size=2)):
+        result.record_range_read(range_read)
+    return result
+
+
+blocks = st.lists(rwsets(), max_size=12)
+
+
+def _layout(graph):
+    return graph.nodes(), graph.edges(), graph.added
+
+
+@given(blocks)
+@example([])
+@example([rwset(reads=["a"], writes=["a"]), rwset(reads=["a"], writes=["a"])])
+@settings(deadline=None)
+def test_key_index_matches_pairwise_builders(block):
+    """Same nodes and edges in the same insertion order, so Tarjan,
+    Johnson, the reorder schedule and the dependency waves cannot tell
+    the index from the paper's pairwise test."""
+    with mock.patch.object(conflict_graph, "DiGraph", RecordingDiGraph):
+        assert _layout(build_conflict_graph(block)) == _layout(
+            pairwise_conflict_graph(block)
+        )
+        assert _layout(build_validation_dependencies(block)) == _layout(
+            pairwise_validation_dependencies(block)
+        )
+
+
+@given(blocks, st.integers(min_value=1, max_value=8))
+@settings(deadline=None)
+def test_batch_cutter_counts_union_of_unique_keys(block, limit):
+    cutter = BatchCutter(
+        BatchCutConfig(max_unique_keys=limit), track_unique_keys=True
+    )
+    seen = set()
+    for index, tx_rwset in enumerate(block):
+        proposal = Proposal(f"t{index}", "client", "ch0", "cc", "f", ())
+        reason = cutter.add(Transaction(f"t{index}", proposal, tx_rwset, []), 0.0)
+        seen |= tx_rwset.unique_keys
+        assert cutter.unique_keys == len(seen)
+        assert reason == (CutReason.UNIQUE_KEYS if len(seen) >= limit else None)
+        if reason is not None:
+            cutter.cut(reason)
+            seen = set()
+            assert cutter.unique_keys == 0

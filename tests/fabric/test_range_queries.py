@@ -7,6 +7,7 @@ difference — updates, deletes, and phantom inserts alike.
 
 import pytest
 
+from repro.core.conflict_graph import build_conflict_graph
 from repro.errors import ChaincodeError
 from repro.fabric.chaincode import ChaincodeStub, StaleRead
 from repro.fabric.metrics import TxOutcome
@@ -89,14 +90,15 @@ def test_range_read_participates_in_unique_keys(state):
 
 
 def test_range_read_conflicts_into():
+    """A scan's result keys are reads: writing one conflicts into the
+    scanner, so reordering must place the scanner first."""
+    writer = ReadWriteSet()
+    writer.record_write("k1", 5)
     scanner = ReadWriteSet()
     scanner.record_range_read(
         RangeRead("a", "z", (("k1", Version(1, 0)),))
     )
-    writer = ReadWriteSet()
-    writer.record_write("k1", 5)
-    assert writer.conflicts_into(scanner)
-    assert not scanner.conflicts_into(writer)
+    assert build_conflict_graph([writer, scanner]).edges() == [(0, 1)]
 
 
 # -- validation: phantom detection --------------------------------------------------

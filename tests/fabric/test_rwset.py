@@ -44,23 +44,6 @@ def test_unique_keys_union():
     assert rwset.unique_keys == {"a", "b"}
 
 
-def test_conflicts_into():
-    writer = ReadWriteSet()
-    writer.record_write("k", 1)
-    reader = ReadWriteSet()
-    reader.record_read("k", V1)
-    assert writer.conflicts_into(reader)
-    assert not reader.conflicts_into(writer)
-
-
-def test_no_conflict_between_disjoint():
-    a = ReadWriteSet()
-    a.record_write("x", 1)
-    b = ReadWriteSet()
-    b.record_read("y", V1)
-    assert not a.conflicts_into(b)
-
-
 def test_equality_semantics():
     a = ReadWriteSet()
     a.record_read("k", V1)
