@@ -13,7 +13,8 @@ picklable :class:`ExperimentSpec`:
 - :mod:`repro.bench.sweep` — fan a grid of specs across worker processes
   with on-disk result caching and live progress;
 - :mod:`repro.bench.cache` — the ``.repro-cache/`` result store keyed by
-  a stable hash of (config, workload, duration, package version);
+  a stable hash of (config, workload, duration, drain, and a SHA-256 of
+  the ``src/repro`` sources);
 - :mod:`repro.bench.results` — the unified :class:`ResultSet` consumed by
   reports, charts, and the CLI;
 - :mod:`repro.bench.caliper` — a Caliper-style report (min/avg/max latency

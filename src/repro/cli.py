@@ -39,60 +39,107 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import itertools
 import sys
 from dataclasses import replace
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, get_args
 
 from repro.bench.cache import ResultCache
 from repro.bench.caliper import run_caliper
-from repro.bench.harness import compare_fabric_vs_fabricpp, run_experiment
+from repro.bench.harness import compare_fabric_vs_fabricpp
 from repro.bench.report import format_table, improvement_factor
 from repro.bench.spec import ExperimentSpec
 from repro.bench.sweep import run_sweep
-from repro.codec import from_dict, to_dict
-from repro.core.batch_cutter import BatchCutConfig
+from repro.codec import field_types, from_dict, to_dict
 from repro.errors import ConfigError, ReproError
 from repro.fabric.config import FabricConfig
-from repro.faults import CrashWindow, FaultSchedule, StallWindow
-from repro.traffic import ARRIVAL_KINDS, ArrivalProcess
+from repro.faults import CrashWindow, StallWindow
+from repro.traffic import ARRIVAL_KINDS
 from repro.validation.registry import strategy_names
 from repro.workloads.base import Workload
 from repro.workloads.registry import WorkloadRef
 
-#: Axes ``sweep --sweep KEY=V1,V2,...`` may vary: CLI key -> (dest, type).
-SWEEPABLE = {
-    "block-size": ("block_size", int),
-    "clients": ("clients", int),
-    "channels": ("channels", int),
-    "cross-channel-fraction": ("cross_channel_fraction", float),
-    "population-accounts": ("population_accounts", int),
-    "population-zipf-s": ("population_zipf_s", float),
-    "client-rate": ("client_rate", float),
-    "seed": ("seed", int),
-    "duration": ("duration", float),
-    "users": ("users", int),
-    "prob-write": ("prob_write", float),
-    "s-value": ("s_value", float),
-    "accounts": ("accounts", int),
-    "rw": ("rw", int),
-    "hr": ("hr", float),
-    "hw": ("hw", float),
-    "hss": ("hss", float),
-    "records": ("records", int),
-    "hotspot-interval": ("hotspot_interval", int),
-    "hot-set-drift": ("hot_set_drift", float),
-    "drop-rate": ("drop_rate", float),
-    "jitter": ("jitter", float),
-    "validation-workers": ("validation_workers", int),
-    "pipeline-depth": ("pipeline_depth", int),
-    "cc-strategy": ("cc_strategy", str),
-    "orderer-nodes": ("orderer_nodes", int),
-    "traffic": ("traffic", str),
-    "arrival-rate": ("arrival_rate", float),
-    "orderer-queue-limit": ("orderer_queue_limit", int),
-    "endorse-queue-limit": ("endorse_queue_limit", int),
-    "delivery-backlog-limit": ("delivery_backlog_limit", int),
+#: Flags backed by a :class:`FabricConfig` field: flag -> (field path,
+#: help). The argparse type, ``store_true`` for bool fields and the
+#: default shown in ``--help`` come from the field; only the
+#: registry-named strings add their choices (see ``_add_config_arguments``).
+CONFIG_FLAGS = {
+    "--block-size": ("batch.max_transactions", "transactions per block"),
+    "--clients": ("clients_per_channel", "clients per channel"),
+    "--channels": (
+        "channels",
+        "sharded channels: 2 or more builds that many independent channel runtimes "
+        "(own orderer, peers, ledger) in one simulation; 1 = classic single runtime"),
+    "--cross-channel-fraction": (
+        "cross_channel_fraction",
+        "fraction of intents fired as two-channel sagas with no atomicity guarantee; "
+        "requires --channels >= 2"),
+    "--population-accounts": (
+        "population.accounts",
+        "logical account population with Zipf channel affinity steering per-channel "
+        "client load; requires --channels >= 2 (0 = off)"),
+    "--population-zipf-s": (
+        "population.zipf_s",
+        "Zipf skew of the population's channel affinity (0 = uniform)"),
+    "--client-rate": ("client_rate", "proposals per second per client"),
+    "--policy": (
+        "endorsement_policy",
+        "endorsement policy: all, any, or outof:K (unset = AND over every org)"),
+    "--validation-workers": (
+        "validation_workers",
+        "modelled signature-verification lanes per peer (1 = legacy inline serial "
+        "validator)"),
+    "--pipeline-depth": (
+        "pipeline_depth",
+        "blocks in flight per channel: above 1, verification of block n+1 overlaps "
+        "the commit of block n"),
+    "--cc-strategy": (
+        "cc_strategy",
+        "concurrency-control strategy for validation/commit "
+        "(repro.validation.registry): serial, dependency waves, lockless OCC, or "
+        "dependency-aware dataflow execution"),
+    "--orderer-nodes": (
+        "orderer_nodes",
+        "ordering-service replicas: 2 or more enables the Raft-style replicated "
+        "orderer with leader election (1 = single orderer)"),
+    "--traffic": (
+        "traffic.kind",
+        "client arrival process: closed (paced 1/client-rate loop) or an open-loop "
+        "shape"),
+    "--arrival-rate": (
+        "traffic.rate",
+        "open-loop mean arrivals per second per client (unset = --client-rate)"),
+    "--orderer-queue-limit": (
+        "backpressure.orderer_queue_limit",
+        "bound on the orderer inbound queue, in transactions; admission rejects past "
+        "the bound (0 = unbounded)"),
+    "--endorse-queue-limit": (
+        "backpressure.endorse_queue_limit",
+        "bound on concurrent endorsements per peer; excess proposals are refused (0 "
+        "= unbounded)"),
+    "--delivery-backlog-limit": (
+        "backpressure.delivery_backlog_limit",
+        "pause block delivery while any peer holds this many unvalidated blocks, "
+        "propagating validation backpressure to admission (0 = unbounded)"),
+    "--streaming-metrics": (
+        "streaming_metrics",
+        "aggregate metrics online (bounded reservoir percentiles, O(1) memory in run "
+        "length) instead of keeping per-transaction lists; throughput and counts "
+        "stay exact, percentiles are approximate (off = bit-identical metrics)"),
+    "--drop-rate": (
+        "faults.drop_probability",
+        "probability that a faulty-link message is lost"),
+    "--jitter": (
+        "faults.jitter_mean",
+        "mean exponential extra latency per faulty-link message (seconds)"),
+    "--endorse-timeout": (
+        "faults.endorsement_timeout",
+        "client endorsement deadline in simulated seconds (0 = disabled; 0.05 when a "
+        "fault is injected and this flag is not given)"),
+    "--endorse-retries": (
+        "faults.max_endorsement_retries",
+        "endorsement rounds retried with backoff before giving up"),
 }
 
 
@@ -112,9 +159,11 @@ def build_parser() -> argparse.ArgumentParser:
         ("profile", "trace both systems and attribute cost per resource"),
     ):
         sub = subcommands.add_parser(name, help=help_text)
-        _add_workload_arguments(sub)
-        _add_system_arguments(sub, with_system=(name == "run"))
-        _add_fault_arguments(sub)
+        if name == "run":
+            sub.add_argument(
+                "--system", choices=("fabric", "fabric++"), default="fabric",
+            )
+        axes = _add_experiment_arguments(sub)
         if name == "run":
             sub.add_argument(
                 "--export-ledger", metavar="PATH", default=None,
@@ -165,15 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
                      "drop count is reported",
             )
         sub.add_argument(
-            "--duration", type=float, default=3.0,
-            help="simulated seconds to fire the workload (default 3)",
-        )
-        sub.add_argument(
-            "--drain", type=float, default=3.0,
-            help="extra simulated seconds after firing stops so in-flight "
-                 "transactions resolve (default 3)",
-        )
-        sub.add_argument(
             "--json", metavar="PATH", default=None,
             help="also save the run records to PATH as JSON",
         )
@@ -187,8 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
                 "--sweep", action="append", metavar="KEY=V1,V2,...",
                 default=None,
                 help="sweep one axis over comma-separated values; repeatable "
-                     f"(keys: {', '.join(sorted(SWEEPABLE))})",
+                     f"(keys: {', '.join(sorted(axes))})",
             )
+            sub.set_defaults(sweep_axes=axes)
             sub.add_argument(
                 "--systems", default="fabric,fabric++",
                 help="comma-separated systems to run per grid point "
@@ -279,132 +320,108 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_workload_arguments(sub: argparse.ArgumentParser) -> None:
+def _add_experiment_arguments(
+    sub: argparse.ArgumentParser,
+) -> Dict[str, argparse.Action]:
+    """Add the workload, config and fault options plus --duration/--drain.
+
+    Returns the single-valued ones by name: the axes ``sweep --sweep``
+    may vary, each cast with its option's type and checked against its
+    choices.
+    """
+    actions = _add_workload_arguments(sub) + _add_config_arguments(sub)
+    actions.append(sub.add_argument(
+        "--duration", type=float, default=3.0,
+        help="simulated seconds to fire the workload (default 3)",
+    ))
+    actions.append(sub.add_argument(
+        "--drain", type=float, default=3.0,
+        help="extra simulated seconds after firing stops so in-flight "
+             "transactions resolve (default 3)",
+    ))
+    _add_fault_arguments(sub)
+    return {
+        action.option_strings[0][2:]: action
+        for action in actions if action.nargs != 0
+    }
+
+
+def _add_workload_arguments(sub: argparse.ArgumentParser) -> List[argparse.Action]:
+    """Add the workload options; returns every one but ``--workload``."""
     sub.add_argument(
         "--workload", choices=("smallbank", "custom", "blank", "ycsb"),
         default="smallbank",
     )
-    sub.add_argument("--seed", type=int, default=42)
-    # Smallbank knobs (paper Table 6).
-    sub.add_argument("--users", type=int, default=20_000,
-                     help="smallbank: number of users")
-    sub.add_argument("--prob-write", type=float, default=0.95,
-                     help="smallbank: probability of a modifying transaction")
-    sub.add_argument("--s-value", type=float, default=None,
-                     help="smallbank/ycsb: Zipf skew (0 = uniform; default "
-                          "0 for smallbank, 0.99 for ycsb)")
-    # Custom workload knobs (paper Table 7).
-    sub.add_argument("--accounts", type=int, default=10_000,
-                     help="custom: number of account balances (N)")
-    sub.add_argument("--rw", type=int, default=8,
-                     help="custom: reads and writes per transaction")
-    sub.add_argument("--hr", type=float, default=0.40,
-                     help="custom: probability of a hot read")
-    sub.add_argument("--hw", type=float, default=0.10,
-                     help="custom: probability of a hot write")
-    sub.add_argument("--hss", type=float, default=0.01,
-                     help="custom: hot account fraction")
-    # YCSB knobs.
-    sub.add_argument("--ycsb-preset", choices=tuple("abcdef"), default="a",
-                     help="ycsb: standard core workload mix")
-    sub.add_argument("--records", type=int, default=10_000,
-                     help="ycsb: number of records")
-    sub.add_argument("--hotspot-interval", type=int, default=0,
-                     help="ycsb: operations between hot-set rotations per "
-                          "request stream (0 = static hot set)")
-    sub.add_argument("--hot-set-drift", type=float, default=0.0,
-                     help="ycsb: keyspace fraction the hot set shifts at "
-                          "each rotation")
+    return [
+        sub.add_argument("--seed", type=int, default=42),
+        # Smallbank knobs (paper Table 6).
+        sub.add_argument("--users", type=int, default=20_000,
+                         help="smallbank: number of users"),
+        sub.add_argument("--prob-write", type=float, default=0.95,
+                         help="smallbank: probability of a modifying "
+                              "transaction"),
+        sub.add_argument("--s-value", type=float, default=None,
+                         help="smallbank/ycsb: Zipf skew (0 = uniform; "
+                              "default 0 for smallbank, 0.99 for ycsb)"),
+        # Custom workload knobs (paper Table 7).
+        sub.add_argument("--accounts", type=int, default=10_000,
+                         help="custom: number of account balances (N)"),
+        sub.add_argument("--rw", type=int, default=8,
+                         help="custom: reads and writes per transaction"),
+        sub.add_argument("--hr", type=float, default=0.40,
+                         help="custom: probability of a hot read"),
+        sub.add_argument("--hw", type=float, default=0.10,
+                         help="custom: probability of a hot write"),
+        sub.add_argument("--hss", type=float, default=0.01,
+                         help="custom: hot account fraction"),
+        # YCSB knobs.
+        sub.add_argument("--ycsb-preset", choices=tuple("abcdef"), default="a",
+                         help="ycsb: standard core workload mix"),
+        sub.add_argument("--records", type=int, default=10_000,
+                         help="ycsb: number of records"),
+        sub.add_argument("--hotspot-interval", type=int, default=0,
+                         help="ycsb: operations between hot-set rotations "
+                              "per request stream (0 = static hot set)"),
+        sub.add_argument("--hot-set-drift", type=float, default=0.0,
+                         help="ycsb: keyspace fraction the hot set shifts at "
+                              "each rotation"),
+    ]
 
 
-def _add_system_arguments(sub: argparse.ArgumentParser, with_system: bool) -> None:
-    if with_system:
-        sub.add_argument(
-            "--system", choices=("fabric", "fabric++"), default="fabric",
-        )
-    sub.add_argument("--block-size", type=int, default=1024)
-    sub.add_argument("--clients", type=int, default=4,
-                     help="clients per channel")
-    sub.add_argument("--channels", type=int, default=1,
-                     help="sharded channels: N>=2 builds N independent "
-                          "channel runtimes (own orderer, peers, ledger) in "
-                          "one simulation (default 1 = classic single "
-                          "runtime)")
-    sub.add_argument("--cross-channel-fraction", type=float, default=0.0,
-                     metavar="F",
-                     help="fraction of intents fired as two-channel sagas "
-                          "with no atomicity guarantee; requires "
-                          "--channels >= 2 (default 0)")
-    sub.add_argument("--population-accounts", type=int, default=0,
-                     metavar="N",
-                     help="logical account population with Zipf channel "
-                          "affinity steering per-channel client load; "
-                          "requires --channels >= 2 (default 0 = off)")
-    sub.add_argument("--population-zipf-s", type=float, default=1.0,
-                     metavar="S",
-                     help="Zipf skew of the population's channel affinity "
-                          "(0 = uniform; default 1.0)")
-    sub.add_argument("--client-rate", type=float, default=512.0,
-                     help="proposals per second per client")
-    sub.add_argument("--policy", default=None, metavar="SPEC",
-                     help="endorsement policy: all, any, or outof:K "
-                          "(default: AND over every org)")
-    sub.add_argument("--max-resubmits", type=int, default=None, metavar="N",
-                     help="cap on resubmissions per failed business intent; "
-                          "negative = retry forever (default 16)")
-    sub.add_argument("--validation-workers", type=int, default=1, metavar="N",
-                     help="modelled signature-verification lanes per peer "
-                          "(default 1 = legacy inline serial validator)")
-    sub.add_argument("--pipeline-depth", type=int, default=1, metavar="K",
-                     help="blocks in flight per channel: K>1 overlaps "
-                          "verification of block n+1 with the commit of "
-                          "block n (default 1)")
-    sub.add_argument("--cc-strategy", choices=strategy_names(),
-                     default="serial",
-                     help="concurrency-control strategy for validation/"
-                          "commit (repro.validation.registry): serial "
-                          "(default), dependency waves, lockless OCC, or "
-                          "dependency-aware dataflow execution")
-    sub.add_argument("--orderer-nodes", type=int, default=1, metavar="N",
-                     help="ordering-service replicas: N>=2 enables the "
-                          "Raft-style replicated orderer with leader "
-                          "election (default 1 = single orderer)")
-    sub.add_argument("--traffic", choices=ARRIVAL_KINDS, default="closed",
-                     help="client arrival process: closed (default; paced "
-                          "1/client-rate loop) or an open-loop shape "
-                          "(poisson, diurnal, flash, heavy_tail)")
-    sub.add_argument("--arrival-rate", type=float, default=None, metavar="R",
-                     help="open-loop mean arrivals per second per client "
-                          "(default: --client-rate)")
-    sub.add_argument("--orderer-queue-limit", type=int, default=0, metavar="N",
-                     help="bound the orderer inbound queue to N transactions; "
-                          "admission rejects past the bound (default 0 = "
-                          "unbounded)")
-    sub.add_argument("--endorse-queue-limit", type=int, default=0, metavar="N",
-                     help="bound concurrent endorsements per peer to N; "
-                          "excess proposals are refused (default 0 = "
-                          "unbounded)")
-    sub.add_argument("--delivery-backlog-limit", type=int, default=0,
-                     metavar="N",
-                     help="pause block delivery while any peer holds N "
-                          "unvalidated blocks, propagating validation "
-                          "backpressure to admission (default 0 = unbounded)")
-    sub.add_argument("--streaming-metrics", action="store_true",
-                     help="aggregate metrics online (bounded reservoir "
-                          "percentiles, O(1) memory in run length) instead "
-                          "of keeping per-transaction lists; throughput "
-                          "and counts stay exact, percentiles are "
-                          "approximate (default: off, bit-identical "
-                          "metrics)")
+def _add_config_arguments(sub: argparse.ArgumentParser) -> List[argparse.Action]:
+    """Add one option per :data:`CONFIG_FLAGS` entry, typed by its field.
+
+    The options default to ``argparse.SUPPRESS``: a flag is on the
+    namespace only when given, which is how :func:`config_from_args`
+    tells an override from the field default.
+    """
+    choices = {"cc_strategy": strategy_names(), "traffic.kind": ARRIVAL_KINDS}
+    actions = []
+    for flag, (path, help_text) in CONFIG_FLAGS.items():
+        hint, default = FabricConfig, FabricConfig()
+        for name in path.split("."):
+            hint = field_types(hint)[name]
+            default = getattr(default, name)
+        # An Optional[X] field takes an X.
+        inner = [arg for arg in get_args(hint) if arg is not type(None)]
+        kind = inner[0] if inner else hint
+        options = {"help": f"{help_text} (default: {default})"}
+        if kind is bool:
+            options["action"] = "store_true"
+        else:
+            options.update(type=kind, choices=choices.get(path))
+        actions.append(sub.add_argument(flag, default=argparse.SUPPRESS, **options))
+    return actions
 
 
 def _add_fault_arguments(sub: argparse.ArgumentParser) -> None:
-    """Deterministic fault-injection knobs (default: inject nothing)."""
+    """Fault-schedule sources; the scalar fault knobs are in CONFIG_FLAGS."""
     sub.add_argument(
         "--faults-file", metavar="PATH", default=None,
         help="load a complete fault schedule from a JSON file (the "
-             "repro.codec.to_dict layout); mutually exclusive with the "
-             "inline fault flags below",
+             "repro.codec.to_dict layout); mutually exclusive with "
+             "--crash, --stall, --drop-rate, --jitter, --endorse-timeout "
+             "and --endorse-retries",
     )
     sub.add_argument(
         "--crash", action="append", default=None, metavar="PEER@AT+DUR",
@@ -414,25 +431,6 @@ def _add_fault_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--stall", action="append", default=None, metavar="AT+DUR",
         help="stall the ordering service at AT for DUR seconds; repeatable",
-    )
-    sub.add_argument(
-        "--drop-rate", type=float, default=0.0,
-        help="probability that a faulty-link message is lost (default 0)",
-    )
-    sub.add_argument(
-        "--jitter", type=float, default=0.0,
-        help="mean exponential extra latency per faulty-link message "
-             "(seconds, default 0)",
-    )
-    sub.add_argument(
-        "--endorse-timeout", type=float, default=None,
-        help="client endorsement deadline in simulated seconds (default "
-             "0.05 when any fault flag is set, else disabled)",
-    )
-    sub.add_argument(
-        "--endorse-retries", type=int, default=3,
-        help="endorsement rounds retried with backoff before giving up "
-             "(default 3)",
     )
 
 
@@ -459,69 +457,17 @@ def _parse_stall_window(text: str) -> StallWindow:
         raise ConfigError(f"bad --stall {text!r}: {error}") from error
 
 
-def _load_faults_file(path: str) -> FaultSchedule:
-    """Parse a JSON fault schedule written in the ``to_dict`` layout."""
+def _load_faults_file(path: str):
+    """The raw JSON fault schedule at ``path`` (the ``to_dict`` layout)."""
     import json
 
     try:
         with open(path) as handle:
-            data = json.load(handle)
+            return json.load(handle)
     except OSError as error:
         raise ConfigError(f"cannot read --faults-file {path!r}: {error}") from error
     except json.JSONDecodeError as error:
         raise ConfigError(f"bad JSON in --faults-file {path!r}: {error}") from error
-    try:
-        schedule = from_dict(FaultSchedule, data)
-    except (ConfigError, TypeError) as error:
-        raise ConfigError(f"bad --faults-file {path!r}: {error}") from error
-    if (
-        "endorsement_timeout" not in data
-        and not schedule.is_zero
-        and not schedule.endorsement_timeout
-    ):
-        # Same default as the inline flags: any injected fault needs a
-        # client-side deadline to stay live.
-        schedule = replace(schedule, endorsement_timeout=0.05)
-    return schedule
-
-
-def faults_from_args(args: argparse.Namespace) -> FaultSchedule:
-    """Build the fault schedule the arguments describe (all-zero default)."""
-    faults_file = getattr(args, "faults_file", None)
-    inline_flags = (
-        bool(getattr(args, "crash", None))
-        or bool(getattr(args, "stall", None))
-        or bool(getattr(args, "drop_rate", 0.0))
-        or bool(getattr(args, "jitter", 0.0))
-        or getattr(args, "endorse_timeout", None) is not None
-    )
-    if faults_file:
-        if inline_flags:
-            raise ConfigError(
-                "--faults-file cannot be combined with inline fault flags "
-                "(--crash/--stall/--drop-rate/--jitter/--endorse-timeout)"
-            )
-        return _load_faults_file(faults_file)
-    crashes = tuple(
-        _parse_crash_window(text) for text in getattr(args, "crash", None) or []
-    )
-    stalls = tuple(
-        _parse_stall_window(text) for text in getattr(args, "stall", None) or []
-    )
-    drop_rate = getattr(args, "drop_rate", 0.0)
-    jitter = getattr(args, "jitter", 0.0)
-    timeout = getattr(args, "endorse_timeout", None)
-    if timeout is None:
-        # Any injected fault needs a client-side deadline to stay live.
-        timeout = 0.05 if (crashes or stalls or drop_rate or jitter) else 0.0
-    return FaultSchedule(
-        crashes=crashes,
-        stalls=stalls,
-        drop_probability=drop_rate,
-        jitter_mean=jitter,
-        endorsement_timeout=timeout,
-        max_endorsement_retries=getattr(args, "endorse_retries", 3),
-    )
 
 
 def workload_ref_from_args(args: argparse.Namespace) -> WorkloadRef:
@@ -566,88 +512,63 @@ def workload_from_args(args: argparse.Namespace) -> Workload:
     return workload_ref_from_args(args).build()
 
 
-def traffic_from_args(args: argparse.Namespace) -> ArrivalProcess:
-    """Build the arrival process the arguments describe (closed default)."""
-    kind = getattr(args, "traffic", "closed")
-    rate = getattr(args, "arrival_rate", None)
-    if kind == "closed" and rate is not None:
-        raise ConfigError("--arrival-rate needs an open-loop --traffic shape")
-    if kind == "closed":
-        return ArrivalProcess()
-    return ArrivalProcess(kind=kind, rate=rate)
-
-
-def backpressure_from_args(args: argparse.Namespace):
-    """Build the backpressure configuration the arguments describe."""
-    from repro.fabric.config import BackpressureConfig
-
-    return BackpressureConfig(
-        orderer_queue_limit=getattr(args, "orderer_queue_limit", 0),
-        endorse_queue_limit=getattr(args, "endorse_queue_limit", 0),
-        delivery_backlog_limit=getattr(args, "delivery_backlog_limit", 0),
-    )
-
-
-def population_from_args(args: argparse.Namespace):
-    """Build the population configuration the arguments describe."""
-    from repro.fabric.config import PopulationConfig
-
-    return PopulationConfig(
-        accounts=getattr(args, "population_accounts", 0),
-        zipf_s=getattr(args, "population_zipf_s", 1.0),
-    )
-
-
 def config_from_args(args: argparse.Namespace) -> FabricConfig:
-    """Build the network configuration the arguments describe."""
-    config = replace(
-        FabricConfig(),
-        batch=BatchCutConfig(max_transactions=args.block_size),
-        clients_per_channel=args.clients,
-        channels=args.channels,
-        cross_channel_fraction=getattr(args, "cross_channel_fraction", 0.0),
-        population=population_from_args(args),
-        client_rate=args.client_rate,
-        seed=args.seed,
-        endorsement_policy=getattr(args, "policy", None),
-        faults=faults_from_args(args),
-        validation_workers=getattr(args, "validation_workers", 1),
-        pipeline_depth=getattr(args, "pipeline_depth", 1),
-        cc_strategy=getattr(args, "cc_strategy", "serial"),
-        orderer_nodes=getattr(args, "orderer_nodes", 1),
-        traffic=traffic_from_args(args),
-        backpressure=backpressure_from_args(args),
-        streaming_metrics=getattr(args, "streaming_metrics", False),
-    )
-    max_resubmits = getattr(args, "max_resubmits", None)
-    if max_resubmits is not None:
-        config = replace(
-            config,
-            max_resubmits=None if max_resubmits < 0 else max_resubmits,
-        )
-    if getattr(args, "system", "fabric") == "fabric++":
-        config = config.with_fabric_plus_plus()
-    faults_file = getattr(args, "faults_file", None)
+    """Build the network configuration the arguments describe.
+
+    Only the :data:`CONFIG_FLAGS` the user gave override the
+    ``FabricConfig`` defaults; ``--faults-file`` supplies the whole fault
+    schedule instead of the inline fault flags. The result is validated.
+    """
+    data = to_dict(FabricConfig(seed=args.seed))
+    given = []
+    for flag, (path, _) in CONFIG_FLAGS.items():
+        dest = flag[2:].replace("-", "_")  # argparse's attribute for the flag
+        if hasattr(args, dest):
+            given.append(flag)
+            *parents, name = path.split(".")
+            parent = functools.reduce(dict.__getitem__, parents, data)
+            parent[name] = getattr(args, dest)
+    inline = [flag for flag in given if CONFIG_FLAGS[flag][0].startswith("faults.")]
+    inline += [f"--{name}" for name in ("crash", "stall") if getattr(args, name)]
+    faults_file = args.faults_file
+    if faults_file and inline:
+        raise ConfigError(f"--faults-file cannot be combined with {', '.join(inline)}")
     if faults_file:
-        # Fail fast at argument-parsing time: a schedule loaded from a
-        # file is validated against the full topology here, so a typo'd
-        # peer name surfaces with the file path before any network (or
-        # sweep worker) is constructed.
-        try:
-            config.validate()
-        except ConfigError as error:
-            raise ConfigError(f"--faults-file {faults_file!r}: {error}") from error
+        data["faults"] = _load_faults_file(faults_file)
+    else:
+        data["faults"].update(
+            crashes=tuple(map(_parse_crash_window, args.crash or ())),
+            stalls=tuple(map(_parse_stall_window, args.stall or ())),
+        )
+    try:
+        config = from_dict(FabricConfig, data)
+        timeout_given = (
+            "endorsement_timeout" in data["faults"]
+            if faults_file
+            else "--endorse-timeout" in given
+        )
+        if not timeout_given and not config.faults.is_zero:
+            # Any injected fault needs a client-side deadline to stay live.
+            config = replace(
+                config, faults=replace(config.faults, endorsement_timeout=0.05)
+            )
+        if getattr(args, "system", "fabric") == "fabric++":
+            config = config.with_fabric_plus_plus()
+        config.validate()
+    except (ConfigError, TypeError) as error:
+        if not faults_file:
+            raise
+        # Fail fast with the file path: a typo'd key or peer name in the
+        # schedule surfaces before any network (or sweep worker) is built.
+        raise ConfigError(f"--faults-file {faults_file!r}: {error}") from error
     return config
 
 
 def _tracer_from_args(args: argparse.Namespace):
-    """Build the run's tracer, honouring ``--trace-ring`` (or None)."""
-    if not getattr(args, "trace", None):
-        return None
+    """Build a tracer, honouring ``--trace-ring``."""
     from repro.trace import Tracer
 
-    ring = getattr(args, "trace_ring", None)
-    return Tracer() if ring is None else Tracer(capacity=ring)
+    return Tracer() if args.trace_ring is None else Tracer(capacity=args.trace_ring)
 
 
 def _warn_dropped_spans(tracer) -> None:
@@ -668,7 +589,7 @@ DEFAULT_CHECKPOINT_DIR = ".repro-checkpoints"
 def command_run(args: argparse.Namespace) -> int:
     from repro.bench.harness import run_experiment_with_network
 
-    tracer = _tracer_from_args(args)
+    tracer = _tracer_from_args(args) if args.trace else None
     checkpointer = None
     if getattr(args, "resume_from", None):
         from repro.checkpoint import load_latest_checkpoint, resume_run
@@ -767,16 +688,16 @@ def command_compare(args: argparse.Namespace) -> int:
 
 
 def command_caliper(args: argparse.Namespace) -> int:
+    config = config_from_args(args)
+    workload = workload_ref_from_args(args)
     rows = []
-    for label in ("fabric", "fabric++"):
-        args.system = label
-        config = config_from_args(args)
+    for system_config in (config.with_vanilla(), config.with_fabric_plus_plus()):
         report = run_caliper(
-            config,
-            workload_ref_from_args(args),
+            system_config,
+            workload,
             duration=args.duration,
             rate_per_client=args.rate,
-            block_size=min(args.block_size, 512),
+            block_size=min(config.batch.max_transactions, 512),
         )
         rows.append(
             {
@@ -797,19 +718,29 @@ def _parse_sweep_axes(args: argparse.Namespace) -> List[tuple]:
     for text in args.sweep or []:
         key, separator, values_text = text.partition("=")
         key = key.strip()
-        if not separator or key not in SWEEPABLE:
-            known = ", ".join(sorted(SWEEPABLE))
+        action = args.sweep_axes.get(key) if separator else None
+        if action is None:
+            known = ", ".join(sorted(args.sweep_axes))
             raise ValueError(
                 f"bad --sweep {text!r}: expected KEY=V1,V2,... with KEY one of {known}"
             )
-        dest, caster = SWEEPABLE[key]
         try:
-            values = [caster(value) for value in values_text.split(",") if value]
+            values = [
+                (action.type or str)(value)
+                for value in values_text.split(",")
+                if value
+            ]
         except ValueError as error:
             raise ValueError(f"bad --sweep {text!r}: {error}") from error
         if not values:
             raise ValueError(f"bad --sweep {text!r}: no values")
-        axes.append((key, dest, values))
+        for value in values:
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(
+                    f"bad --sweep {text!r}: invalid choice {value!r} for "
+                    f"--{key} (choose from {', '.join(action.choices)})"
+                )
+        axes.append((key, action.dest, values))
     return axes
 
 
@@ -829,19 +760,20 @@ def command_sweep(args: argparse.Namespace) -> int:
         return 2
 
     specs = []
-    value_axes = [axis[2] for axis in axes]
-    for combo in itertools.product(*value_axes):
+    for combo in itertools.product(*(values for _, _, values in axes)):
         point = copy.copy(args)
         point_params = {}
         for (key, dest, _), value in zip(axes, combo):
             setattr(point, dest, value)
             point_params[key] = value
+        config = config_from_args(point)
+        configs = {"fabric": config, "fabric++": config.with_fabric_plus_plus()}
+        workload = workload_ref_from_args(point)
         for system in systems:
-            point.system = system
             specs.append(
                 ExperimentSpec(
-                    config=config_from_args(point),
-                    workload=workload_ref_from_args(point),
+                    config=configs[system],
+                    workload=workload,
                     duration=point.duration,
                     drain=point.drain,
                     label="Fabric++" if system == "fabric++" else "Fabric",
@@ -895,17 +827,16 @@ def command_profile(args: argparse.Namespace) -> int:
     Chrome trace is written to ``PATH.<system>``.
     """
     from repro.bench.harness import run_experiment_with_network
-    from repro.trace import Tracer, write_chrome_trace
+    from repro.trace import write_chrome_trace
 
     base_config = config_from_args(args)
     workload_ref = workload_ref_from_args(args)
     rows = []
-    ring = getattr(args, "trace_ring", None)
     for system, config in (
         ("fabric", base_config.with_vanilla()),
         ("fabric++", base_config.with_fabric_plus_plus()),
     ):
-        tracer = Tracer() if ring is None else Tracer(capacity=ring)
+        tracer = _tracer_from_args(args)
         spec = ExperimentSpec(
             config=config,
             workload=workload_ref,
@@ -939,7 +870,7 @@ def command_profile(args: argparse.Namespace) -> int:
 
 def command_chaos(args: argparse.Namespace) -> int:
     """Run randomized fault schedules and check consensus invariants."""
-    from repro.chaos import INVARIANT_NAMES, run_chaos
+    from repro.chaos import run_chaos
 
     reports = []
     for seed in range(args.seed_base, args.seed_base + args.seeds):
@@ -962,34 +893,13 @@ def command_chaos(args: argparse.Namespace) -> int:
         )
         for line in report.details:
             print(f"           {line}")
-    passed = sum(1 for report in reports if report.passed)
-    print(
-        f"\nchaos: {passed}/{len(reports)} seeds passed all "
-        f"{len(INVARIANT_NAMES)} invariants + liveness"
+    return _invariant_verdict(
+        args, "chaos", reports, orderer_nodes=args.orderer_nodes
     )
-    if args.report:
-        import json
-
-        payload = {
-            "seeds": args.seeds,
-            "seed_base": args.seed_base,
-            "system": args.system,
-            "orderer_nodes": args.orderer_nodes,
-            "passed": passed,
-            "failed": len(reports) - passed,
-            "runs": [
-                {**to_dict(report), "passed": report.passed} for report in reports
-            ],
-        }
-        with open(args.report, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-        print(f"wrote invariant report to {args.report}")
-    return 0 if passed == len(reports) else 1
 
 
 def command_scenario(args: argparse.Namespace) -> int:
     """Run named overload scenarios and check consensus invariants."""
-    from repro.chaos import INVARIANT_NAMES
     from repro.scenarios import get_scenario, run_scenario, scenario_names
 
     if args.list:
@@ -1016,16 +926,24 @@ def command_scenario(args: argparse.Namespace) -> int:
             )
             for line in report.details:
                 print(f"           {line}")
+    return _invariant_verdict(args, "scenario", reports, scenarios=names)
+
+
+def _invariant_verdict(args: argparse.Namespace, kind: str, reports, **extra) -> int:
+    """Print the chaos/scenario pass count, write ``--report``, and return
+    the exit code (1 when any seed failed)."""
+    from repro.chaos import INVARIANT_NAMES
+
     passed = sum(1 for report in reports if report.passed)
     print(
-        f"\nscenario: {passed}/{len(reports)} seeds passed all "
+        f"\n{kind}: {passed}/{len(reports)} seeds passed all "
         f"{len(INVARIANT_NAMES)} invariants + liveness"
     )
     if args.report:
         import json
 
         payload = {
-            "scenarios": names,
+            **extra,
             "seeds": args.seeds,
             "seed_base": args.seed_base,
             "system": args.system,

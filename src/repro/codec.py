@@ -46,7 +46,7 @@ def from_dict(cls: Type[T], data) -> T:
             f"unknown {cls.__name__} key(s) {', '.join(map(repr, unknown))}; "
             f"expected a subset of: {', '.join(sorted(names))}"
         )
-    hints = _hints(cls)
+    hints = field_types(cls)
     try:
         return cls(**{name: _decode(hints[name], data[name]) for name in data})
     except TypeError as error:  # a required key is missing
@@ -54,7 +54,8 @@ def from_dict(cls: Type[T], data) -> T:
 
 
 @functools.lru_cache(maxsize=None)
-def _hints(cls: type) -> Dict[str, object]:
+def field_types(cls: type) -> Dict[str, object]:
+    """The resolved annotation of each of ``cls``'s fields (cached)."""
     return typing.get_type_hints(cls)
 
 

@@ -59,7 +59,7 @@ class ArrivalProcess:
 
     ``rate`` is the mean arrivals per simulated second; when ``None`` the
     client's ``client_rate`` is used, so a traffic shape can be swept
-    independently of the base load.
+    independently of the base load. Closed-loop traffic takes no rate.
     """
 
     kind: str = "closed"
@@ -89,6 +89,11 @@ class ArrivalProcess:
             raise ConfigError(
                 f"unknown arrival kind {self.kind!r}; "
                 f"expected one of {', '.join(ARRIVAL_KINDS)}"
+            )
+        if self.is_closed and self.rate is not None:
+            raise ConfigError(
+                "closed-loop traffic is paced by client_rate and takes no "
+                "arrival rate; pick an open-loop kind"
             )
         if self.rate is not None and self.rate <= 0:
             raise ConfigError(f"arrival rate must be positive, got {self.rate}")

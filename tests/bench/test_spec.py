@@ -1,9 +1,7 @@
-"""Tests for ExperimentSpec and the run_experiment API (new + legacy)."""
+"""Tests for ExperimentSpec and the run_experiment API."""
 
 import pickle
 from dataclasses import replace
-
-import pytest
 
 from repro.bench.harness import run_experiment
 from repro.bench.spec import DEFAULT_DRAIN, DEFAULT_DURATION, ExperimentSpec
@@ -86,22 +84,6 @@ def test_is_cacheable_only_for_workload_refs():
                           workload=small_ref()).is_cacheable
     assert not ExperimentSpec(config=small_config(),
                               workload=BlankWorkload()).is_cacheable
-
-
-def test_run_experiment_spec_and_legacy_agree():
-    config = small_config()
-    ref = WorkloadRef("blank")
-    spec_result = run_experiment(
-        ExperimentSpec(config=config, workload=ref, duration=1.0, label="x")
-    )
-    legacy_result = run_experiment(config, ref, 1.0, label="x")
-    assert spec_result.row() == legacy_result.row()
-
-
-def test_run_experiment_rejects_spec_plus_workload():
-    spec = ExperimentSpec(config=small_config(), workload=WorkloadRef("blank"))
-    with pytest.raises(TypeError):
-        run_experiment(spec, WorkloadRef("blank"))
 
 
 def test_drain_is_plumbed_through():

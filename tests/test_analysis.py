@@ -12,6 +12,7 @@ from repro.analysis import (
     save_records,
 )
 from repro.bench.harness import run_experiment
+from repro.bench.spec import ExperimentSpec
 from repro.codec import from_dict
 from repro.core.batch_cutter import BatchCutConfig
 from repro.errors import ReproError
@@ -28,7 +29,10 @@ def result():
         batch=BatchCutConfig(max_transactions=32),
     )
     return run_experiment(
-        config, BlankWorkload(), duration=2.0, params={"bs": 32}
+        ExperimentSpec(
+            config=config, workload=BlankWorkload(), duration=2.0,
+            params={"bs": 32},
+        )
     )
 
 

@@ -2,8 +2,17 @@
 
 import pytest
 
-from repro.cli import build_parser, config_from_args, main, workload_from_args
+from repro.cli import (
+    COMMANDS,
+    CONFIG_FLAGS,
+    build_parser,
+    config_from_args,
+    main,
+    workload_from_args,
+)
+from repro.codec import to_dict
 from repro.errors import ConfigError
+from repro.fabric.config import FabricConfig
 from repro.workloads.blank import BlankWorkload
 from repro.workloads.custom import CustomWorkload
 from repro.workloads.smallbank import SmallbankWorkload
@@ -77,6 +86,78 @@ def test_network_knobs_forwarded():
     assert config.channels == 3
     assert config.num_channels == 1
     assert config.client_rate == 100
+
+
+# -- config flags derived from FabricConfig ------------------------------------
+
+#: A non-default value per config flag (None: a store_true flag), plus the
+#: flags that make it a valid configuration on its own.
+NON_DEFAULT = {
+    "--block-size": ("256", []),
+    "--clients": ("2", []),
+    "--channels": ("3", []),
+    "--cross-channel-fraction": ("0.25", ["--channels", "2"]),
+    "--population-accounts": ("1000", ["--channels", "2"]),
+    "--population-zipf-s": ("0.5", []),
+    "--client-rate": ("100", []),
+    "--policy": ("outof:1", []),
+    "--validation-workers": ("4", []),
+    "--pipeline-depth": ("2", []),
+    "--cc-strategy": ("lockless", []),
+    "--orderer-nodes": ("3", []),
+    "--traffic": ("poisson", []),
+    "--arrival-rate": ("300", ["--traffic", "poisson"]),
+    "--orderer-queue-limit": ("64", []),
+    "--endorse-queue-limit": ("8", []),
+    "--delivery-backlog-limit": ("2", []),
+    "--streaming-metrics": (None, []),
+    "--drop-rate": ("0.05", ["--endorse-timeout", "0.1"]),
+    "--jitter": ("0.002", ["--endorse-timeout", "0.1"]),
+    "--endorse-timeout": ("0.1", []),
+    "--endorse-retries": ("5", []),
+}
+
+
+def _leaves(data, prefix=""):
+    for key, value in data.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+def test_default_flags_build_the_default_config():
+    assert config_from_args(parse(["run"])) == FabricConfig()
+
+
+def test_every_config_flag_sets_exactly_its_field():
+    assert set(NON_DEFAULT) == set(CONFIG_FLAGS)
+    for flag, (value, requires) in NON_DEFAULT.items():
+        base = dict(_leaves(to_dict(config_from_args(parse(["run", *requires])))))
+        argv = ["run", *requires, flag] + ([] if value is None else [value])
+        changed = {
+            path
+            for path, leaf in _leaves(to_dict(config_from_args(parse(argv))))
+            if leaf != base[path]
+        }
+        assert changed == {CONFIG_FLAGS[flag][0]}, flag
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_help_renders_for_every_subcommand(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_sweep_rejects_a_value_outside_the_axis_choices(tmp_path, capsys):
+    argv = _sweep_argv(tmp_path, jobs=1)
+    argv[argv.index("block-size=16,32")] = "cc-strategy=serial,bogus"
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "'bogus'" in err and "--cc-strategy" in err
+    assert "depaware, dependency, lockless, serial" in err
 
 
 def test_run_command_end_to_end(capsys):
@@ -298,15 +379,9 @@ def test_bad_crash_spec_is_a_clean_error(capsys):
     assert "bad --crash" in capsys.readouterr().err
 
 
-def test_policy_and_resubmit_flags_forwarded():
-    config = config_from_args(
-        parse(["run", "--policy", "outof:1", "--max-resubmits", "4"])
-    )
+def test_policy_flag_forwarded():
+    config = config_from_args(parse(["run", "--policy", "outof:1"]))
     assert config.endorsement_policy == "outof:1"
-    assert config.max_resubmits == 4
-    assert config_from_args(
-        parse(["run", "--max-resubmits", "-1"])
-    ).max_resubmits is None
 
 
 def test_run_command_with_faults_end_to_end(tmp_path, capsys):
@@ -467,6 +542,18 @@ def test_faults_file_conflicts_with_inline_flags(capsys):
     assert "--faults-file cannot be combined" in capsys.readouterr().err
 
 
+def test_faults_file_conflicts_with_endorse_retries(tmp_path):
+    from repro.faults import FaultSchedule
+
+    path = _schedule_file(tmp_path, FaultSchedule())
+    with pytest.raises(ConfigError) as excinfo:
+        config_from_args(
+            parse(["run", "--faults-file", path, "--endorse-retries", "7"])
+        )
+    assert "--faults-file" in str(excinfo.value)
+    assert "--endorse-retries" in str(excinfo.value)
+
+
 @pytest.mark.parametrize(
     "content", ["{not json", '["list"]', '{"crashes": [{"bogus": 1}]}']
 )
@@ -569,9 +656,7 @@ def test_orderer_nodes_flag_forwarded():
 
 
 def test_orderer_nodes_is_sweepable():
-    from repro.cli import SWEEPABLE
-
-    assert "orderer-nodes" in SWEEPABLE
+    assert "orderer-nodes" in parse(["sweep"]).sweep_axes
 
 
 def test_run_command_with_replicated_orderer(capsys):

@@ -53,6 +53,7 @@ def test_default_process_is_closed_and_valid():
         {"kind": "flash", "flash_duration": 0.0},
         {"kind": "flash", "flash_factor": 0.5},
         {"kind": "heavy_tail", "pareto_shape": 1.0},
+        {"rate": 100.0},
     ],
 )
 def test_invalid_processes_rejected(kwargs):

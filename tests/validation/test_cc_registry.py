@@ -10,7 +10,7 @@ import pytest
 
 from repro.bench.cache import spec_fingerprint
 from repro.bench.spec import ExperimentSpec
-from repro.cli import SWEEPABLE, build_parser, config_from_args
+from repro.cli import build_parser, config_from_args
 from repro.codec import from_dict, to_dict
 from repro.core.batch_cutter import BatchCutConfig
 from repro.errors import ConfigError
@@ -107,10 +107,9 @@ def test_cli_rejects_unknown_cc_strategy():
 
 
 def test_cc_strategy_is_sweepable():
-    assert "cc-strategy" in SWEEPABLE
-    field, caster = SWEEPABLE["cc-strategy"]
-    assert field == "cc_strategy"
-    assert caster("lockless") == "lockless"
+    axis = parse(["sweep"]).sweep_axes["cc-strategy"]
+    assert axis.dest == "cc_strategy"
+    assert tuple(axis.choices) == strategy_names()
 
 
 # -- cache fingerprint -----------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from repro.bench.cache import spec_fingerprint
 from repro.bench.results import metrics_from_dict, metrics_to_dict
 from repro.bench.spec import ExperimentSpec
-from repro.cli import SWEEPABLE, build_parser, config_from_args
+from repro.cli import build_parser, config_from_args
 from repro.core.batch_cutter import BatchCutConfig
 from repro.errors import ConfigError
 from repro.fabric.config import FabricConfig
@@ -90,8 +90,9 @@ def test_cli_rejects_unknown_scheduler():
 
 
 def test_validation_knobs_are_sweepable():
+    axes = parse(["sweep"]).sweep_axes
     for key in ("validation-workers", "cc-strategy", "pipeline-depth"):
-        assert key in SWEEPABLE
+        assert key in axes
 
 
 # -- cache fingerprint -----------------------------------------------------
