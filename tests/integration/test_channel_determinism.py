@@ -10,8 +10,14 @@ Two contracts, mirroring the fault-layer golden tests:
    sweep produces identical fleet metrics (per-channel rows and saga
    stats included) whether it runs in-process or across ``--jobs N``
    worker processes.
+3. **Fleet stats merge exactly.** A sharded run that fills the
+   validation, consensus and overload stats of every channel hashes to
+   the snapshot captured before those stats were merged from field
+   metadata.
 """
 
+import hashlib
+import json
 from dataclasses import replace
 
 import pytest
@@ -20,6 +26,7 @@ from repro.bench.harness import run_experiment
 from repro.bench.results import metrics_to_dict
 from repro.bench.spec import ExperimentSpec
 from repro.bench.sweep import run_sweep
+from repro.fabric.config import BackpressureConfig
 
 from tests.integration.test_fault_determinism import (
     GOLDEN_HASHES,
@@ -78,3 +85,34 @@ def test_channel_sweep_parallel_matches_serial():
             assert fleet is not None
             assert len(fleet.per_channel) == left.params["channels"]
             assert fleet.saga.started > 0
+
+
+#: SHA-256 of the full ``metrics_to_dict`` snapshot of ``merge_spec()``,
+#: captured while the fleet stats were still merged by hand.
+FLEET_MERGE_HASH = (
+    "91af3881885d6f99114add46cc52ff53dfe098d4cea9c53ec1b3645e1e4d7bcd"
+)
+
+
+def merge_spec() -> ExperimentSpec:
+    spec = golden_spec("fabric++")
+    config = replace(
+        spec.config,
+        channels=2,
+        orderer_nodes=3,
+        cc_strategy="dependency",
+        validation_workers=2,
+        client_rate=300.0,
+        backpressure=BackpressureConfig(orderer_queue_limit=16),
+    )
+    return replace(spec, config=config)
+
+
+def test_fleet_stats_merge_matches_golden():
+    metrics = run_experiment(merge_spec()).metrics
+    assert metrics.channels.channels == 2
+    assert len(metrics.validation.lane_busy) == 4
+    assert metrics.consensus.entries_committed > 0
+    assert metrics.overload.orderer_rejections > 0
+    snapshot = json.dumps(metrics_to_dict(metrics), sort_keys=True)
+    assert hashlib.sha256(snapshot.encode()).hexdigest() == FLEET_MERGE_HASH
