@@ -216,39 +216,6 @@ class ResultSet:
         """Flat dict-rows for report tables, in run order."""
         return [result.row() for result in self.results]
 
-    def channel_rows(self) -> List[Dict[str, object]]:
-        """Per-channel breakdown rows of every sharded result.
-
-        Each sharded result contributes one ``channel="fleet"`` row (the
-        aggregate, with the saga counters inlined) followed by its
-        per-channel rows; single-runtime results contribute nothing.
-        """
-        rows: List[Dict[str, object]] = []
-        for result in self.results:
-            fleet = result.metrics.channels
-            if fleet is None:
-                continue
-            rows.append(
-                {
-                    "label": result.label,
-                    **result.params,
-                    "channel": "fleet",
-                    "fired": result.metrics.fired,
-                    "successful": result.metrics.successful,
-                    "failed": result.metrics.failed,
-                    "successful_tps": round(result.metrics.successful_tps(), 2),
-                    "failed_tps": round(result.metrics.failed_tps(), 2),
-                    "blocks": result.metrics.blocks_committed,
-                    **{
-                        f"saga_{key}": value
-                        for key, value in to_dict(fleet.saga).items()
-                    },
-                }
-            )
-            for row in fleet.per_channel:
-                rows.append({"label": result.label, **result.params, **row})
-        return rows
-
     def to_json(self) -> str:
         """Serialise every result (full metrics) to a JSON document."""
         payload = {

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional
 
+from repro.codec import merge
 from repro.errors import ConfigError
 from repro.fabric.config import (
     CHANNEL_SEED_SALT,
@@ -338,88 +339,18 @@ class ShardedNetwork:
         fleet.outcome_times = times
         fleet.fault_events.sort(key=lambda event: event[0])
 
-        fleet.validation = self._merge_validation()
-        fleet.consensus = self._merge_consensus()
-        fleet.overload = self._merge_overload()
+        channel_metrics = [runtime.metrics for runtime in self.runtimes]
+        fleet.validation = merge(
+            ValidationStats, (m.validation for m in channel_metrics)
+        )
+        fleet.consensus = merge(ConsensusStats, (m.consensus for m in channel_metrics))
+        fleet.overload = merge(OverloadStats, (m.overload for m in channel_metrics))
         fleet.channels = ChannelFleetStats(
             channels=len(self.runtimes),
             per_channel=per_channel,
             saga=self.saga.stats if self.saga is not None else SagaStats(),
         )
         return fleet
-
-    def _merge_validation(self) -> Optional[ValidationStats]:
-        stats = [
-            runtime.metrics.validation
-            for runtime in self.runtimes
-            if runtime.metrics.validation is not None
-        ]
-        if not stats:
-            return None
-        first = stats[0]
-        merged = ValidationStats(
-            workers=first.workers,
-            pipeline_depth=first.pipeline_depth,
-            strategy=first.strategy,
-        )
-        for entry in stats:
-            merged.blocks += entry.blocks
-            merged.txs += entry.txs
-            merged.critical_path_total += entry.critical_path_total
-            merged.verify_tasks += entry.verify_tasks
-            merged.queue_delay_total += entry.queue_delay_total
-            merged.lane_busy.extend(entry.lane_busy)
-            merged.horizon = max(merged.horizon, entry.horizon)
-        return merged
-
-    def _merge_consensus(self) -> Optional[ConsensusStats]:
-        stats = [
-            runtime.metrics.consensus
-            for runtime in self.runtimes
-            if runtime.metrics.consensus is not None
-        ]
-        if not stats:
-            return None
-        merged = ConsensusStats(nodes=stats[0].nodes)
-        for entry in stats:
-            merged.elections_started += entry.elections_started
-            merged.leader_changes += entry.leader_changes
-            merged.max_term = max(merged.max_term, entry.max_term)
-            merged.messages_sent += entry.messages_sent
-            merged.messages_dropped += entry.messages_dropped
-            merged.entries_proposed += entry.entries_proposed
-            merged.entries_committed += entry.entries_committed
-            merged.txs_reproposed += entry.txs_reproposed
-            merged.duplicate_txs_suppressed += entry.duplicate_txs_suppressed
-        return merged
-
-    def _merge_overload(self) -> Optional[OverloadStats]:
-        stats = [
-            runtime.metrics.overload
-            for runtime in self.runtimes
-            if runtime.metrics.overload is not None
-        ]
-        if not stats:
-            return None
-        merged = OverloadStats(
-            orderer_queue_limit=stats[0].orderer_queue_limit,
-            endorse_queue_limit=stats[0].endorse_queue_limit,
-        )
-        for entry in stats:
-            merged.submissions += entry.submissions
-            merged.orderer_rejections += entry.orderer_rejections
-            merged.endorse_rejections += entry.endorse_rejections
-            merged.client_retries += entry.client_retries
-            merged.txs_shed += entry.txs_shed
-            merged.queue_depth_peak = max(
-                merged.queue_depth_peak, entry.queue_depth_peak
-            )
-            merged.queue_depth_sum += entry.queue_depth_sum
-            merged.endorse_inflight_peak = max(
-                merged.endorse_inflight_peak, entry.endorse_inflight_peak
-            )
-            merged.delivery_stall_seconds += entry.delivery_stall_seconds
-        return merged
 
 
 def build_network(

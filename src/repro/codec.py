@@ -9,6 +9,9 @@ are, and raises :class:`ConfigError` naming the class and each unknown
 key — a typo in a faults file fails loudly instead of configuring
 nothing.
 
+:func:`merge` folds several instances of one stats dataclass into one,
+field by field, by the rule each field's metadata names.
+
 The three ``Streaming*`` metric classes are not dataclasses: each carries
 a private seeded RNG that must never be serialised, so they keep their
 own ``to_dict``/``from_dict``, and both functions here defer to them.
@@ -18,12 +21,23 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
+import operator
 import typing
-from typing import Dict, Type, TypeVar
+from typing import Dict, Iterable, Optional, Type, TypeVar
 
 from repro.errors import ConfigError
 
 T = TypeVar("T")
+
+#: How :func:`merge` folds one field's values, by ``metadata["merge"]``.
+_MERGE_RULES = {
+    # Added in item order, so float totals are reproducible to the bit.
+    "sum": lambda values: functools.reduce(operator.add, values),
+    "max": max,
+    "first": operator.itemgetter(0),
+    "extend": lambda values: list(itertools.chain.from_iterable(values)),
+}
 
 
 def to_dict(obj) -> Dict[str, object]:
@@ -51,6 +65,25 @@ def from_dict(cls: Type[T], data) -> T:
         return cls(**{name: _decode(hints[name], data[name]) for name in data})
     except TypeError as error:  # a required key is missing
         raise ConfigError(f"{cls.__name__}: {error}") from error
+
+
+def merge(cls: Type[T], items: Iterable[Optional[T]]) -> Optional[T]:
+    """One ``cls`` folded from ``items`` (None entries skipped), or None.
+
+    Each field's ``metadata["merge"]`` names its rule: ``"sum"`` (the
+    default), ``"max"``, ``"first"`` or ``"extend"`` (lists concatenated).
+    """
+    present = [item for item in items if item is not None]
+    if not present:
+        return None
+    return cls(
+        **{
+            field.name: _MERGE_RULES[field.metadata.get("merge", "sum")](
+                [getattr(item, field.name) for item in present]
+            )
+            for field in dataclasses.fields(cls)
+        }
+    )
 
 
 @functools.lru_cache(maxsize=None)

@@ -11,11 +11,12 @@ models that cluster inside the existing discrete-event simulation:
 - :mod:`repro.consensus.raft` — the consensus state machine: leader
   election with randomized timeouts, heartbeats, log replication, and
   the quorum commit rule (current-term entries only).
-- :mod:`repro.consensus.service` — :class:`ReplicatedOrderingService`, a
-  drop-in replacement for :class:`~repro.fabric.orderer.OrderingService`
-  selected by ``FabricConfig.orderer_nodes > 1``: batches are cut as
-  before, but a block is broadcast to peers only after a quorum of
-  orderer nodes has acknowledged its log entry.
+- :mod:`repro.consensus.service` — :class:`ReplicatedOrderingService`,
+  selected by ``FabricConfig.orderer_nodes > 1``. It runs the pipeline of
+  :class:`~repro.fabric.orderer.OrderingService` and supplies its three
+  hooks: the leader's CPU orders, early aborts reach clients at commit,
+  and a cut batch is proposed to the leader; a block is broadcast to
+  peers only after a quorum of orderer nodes has acknowledged its entry.
 
 Determinism: every random draw (election timeouts) comes from per-replica
 streams seeded with ``mix_seed(seed, CONSENSUS_SEED_SALT, channel,

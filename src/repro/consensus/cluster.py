@@ -82,10 +82,6 @@ class OrdererCluster:
         """Nodes needed for a majority."""
         return len(self.nodes) // 2 + 1
 
-    def live_nodes(self) -> List[OrdererNode]:
-        """Nodes currently up (partitions do not affect liveness)."""
-        return [node for node in self.nodes if not node.crashed]
-
     # -- connectivity --------------------------------------------------------
 
     def connected(self, a: int, b: int) -> bool:

@@ -1,9 +1,11 @@
 """The replicated ordering facade: the cluster behind one channel's intake.
 
-:class:`ReplicatedOrderingService` presents the same surface as
-:class:`~repro.fabric.orderer.OrderingService` — ``submit``, batch
-cutting, the reorder/early-abort transform, ``install_stalls``,
-``flush``, the ``blocks_cut``/``txs_received`` counters — but a cut batch
+:class:`ReplicatedOrderingService` runs the ordering pipeline of
+:class:`~repro.fabric.orderer.OrderingService` — admission control,
+stalls, batch cutting, the reorder/early-abort transform, ``flush`` —
+and supplies its three hooks: the CPU is the current Raft leader's,
+clients hear of an early abort only when the entry carrying it commits,
+and a cut batch is proposed to the leader instead of broadcast. A batch
 becomes a peer-visible block only after the channel's Raft group has
 committed its log entry on a quorum of orderer nodes.
 
@@ -26,25 +28,32 @@ Failover correctness rests on three pieces:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Optional
 
 from repro.consensus.cluster import OrdererCluster
 from repro.consensus.raft import LEADER, LogEntry, RaftGroup, RaftReplica
-from repro.core.batch_cutter import BatchCutter, CutReason
-from repro.core.early_abort import filter_stale_within_block
-from repro.core.reorder import reorder
+from repro.core.batch_cutter import CutReason
+from repro.core.reorder import ReorderResult
 from repro.fabric.config import FabricConfig
 from repro.fabric.metrics import TxOutcome
+# ``reorder`` and ``filter_stale_within_block`` are bound here as well as
+# in the orderer module: perfbench's layer trace wraps every by-name
+# import site of the cut transform's functions, and checks this one.
+from repro.fabric.orderer import (  # noqa: F401
+    OrderingService,
+    filter_stale_within_block,
+    reorder,
+)
 from repro.fabric.transaction import Transaction
 from repro.ledger.block import Block
-from repro.ledger.ledger import GENESIS_HASH
 from repro.sim.engine import Environment
-from repro.sim.resources import Store
-from repro.trace.tracer import ASYNC, Tracer
+from repro.trace.tracer import Tracer
 
 
-class ReplicatedOrderingService:
+class ReplicatedOrderingService(OrderingService):
     """Ordering pipeline of one channel, backed by the Raft cluster."""
+
+    NOTIFY_AT_CUT = False
 
     def __init__(
         self,
@@ -57,42 +66,23 @@ class ReplicatedOrderingService:
         notify: Callable[[str, TxOutcome], None],
         tracer: Optional[Tracer] = None,
     ) -> None:
-        self.env = env
-        self.channel = channel
-        self.config = config
+        super().__init__(env, channel, config, None, broadcast, notify, tracer)
         self.cluster = cluster
-        self.tracer = tracer
-        self.incoming: Store = Store(env)
-        self._broadcast = broadcast
-        self._notify = notify
-        self._cutter = BatchCutter(
-            config.batch,
-            track_unique_keys=config.reordering,
-        )
-        # Authoritative chain state, advanced only at commit time.
-        self._next_block_id = 1
-        self._tip_hash = GENESIS_HASH
+        # Authoritative chain state (block id, tip hash) advances only at
+        # commit time.
         self._applied = 0
         self._committed_tx_ids: set = set()
         # Unresolved transactions in submission order (dict = ordered).
         self._pending: Dict[str, Transaction] = {}
         # Ids currently sitting in the intake store or the cutter, i.e.
-        # not yet inside any proposed log entry.
+        # not yet inside any proposed log entry. Re-proposals bypass
+        # admission control: an accepted transaction is never dropped by
+        # its own failover.
         self._unproposed: set = set()
-        self._generation = 0
-        self._stall_windows: tuple = ()
         # Leadership adoption (monotone by term).
         self._adopted: Optional[RaftReplica] = None
         self._adopted_term = 0
         self._leader_event = env.event()
-        self.blocks_cut = 0
-        self.txs_received = 0
-        self.txs_early_aborted = 0
-        #: Backpressure: shared OverloadStats, attached by the network
-        #: when a queue bound is configured (same contract as the single
-        #: orderer). Internal re-proposal paths bypass admission — an
-        #: accepted transaction is never dropped by its own failover.
-        self.overload = None
         self.group = RaftGroup(
             cluster,
             channel,
@@ -103,12 +93,6 @@ class ReplicatedOrderingService:
             tracer=tracer,
         )
         self.group.start()
-        env.process(self._receiver(), name=f"orderer/{channel}")
-
-    @property
-    def next_block_id(self) -> int:
-        """Id the next committed block will carry (committed tip + 1)."""
-        return self._next_block_id
 
     @property
     def pending_count(self) -> int:
@@ -124,82 +108,30 @@ class ReplicatedOrderingService:
         queue — before any pending-state bookkeeping, so a rejected
         transaction is never re-proposed across failovers. True means
         accepted (the historical unbounded behavior when no bound is
-        configured).
+        configured). It calls ``_admit``, not ``super().submit()``, so one
+        submission is one ``submit`` call however the classes are wrapped.
         """
-        stats = self.overload
-        if stats is not None:
-            stats.submissions += 1
-            limit = self.config.backpressure.orderer_queue_limit
-            depth = len(self.incoming)
-            if 0 < limit <= depth:
-                stats.orderer_rejections += 1
-                return False
-            stats.queue_depth_sum += depth
-            if depth > stats.queue_depth_peak:
-                stats.queue_depth_peak = depth
-        if self.tracer is not None:
-            transaction.orderer_arrival = self.env.now
-        self.txs_received += 1
+        if not self._admit(transaction):
+            return False
         self._pending[transaction.tx_id] = transaction
         self._unproposed.add(transaction.tx_id)
-        self.incoming.put(transaction)
         return True
-
-    def install_stalls(self, windows: tuple) -> None:
-        """Fault injection: stall intake/cutting during the given windows."""
-        self._stall_windows = tuple(windows)
-
-    def _maybe_stall(self) -> Generator:
-        for window in self._stall_windows:
-            if window.at <= self.env.now < window.until:
-                yield window.until - self.env.now
-
-    def _receiver(self) -> Generator:
-        while True:
-            transaction = yield self.incoming.get()
-            yield from self._maybe_stall()
-            leader = yield from self._await_leader()
-            yield from leader.node.cpu.use(self.config.costs.order_tx)
-            if self.tracer is not None:
-                self.tracer.charge("ordering", self.config.costs.order_tx)
-            was_empty = self._cutter.is_empty
-            reason = self._cutter.add(transaction, self.env.now)
-            if reason is not None:
-                yield from self._cut(reason)
-            elif was_empty:
-                self.env.process(
-                    self._batch_timer(self._generation, self._cutter.deadline()),
-                    name=f"orderer/{self.channel}/timer",
-                )
-
-    def _batch_timer(self, generation: int, deadline: Optional[float]) -> Generator:
-        if deadline is None:  # pragma: no cover - defensive
-            return
-        yield max(0.0, deadline - self.env.now)
-        # Same contract as the single orderer: never cut mid-stall, and a
-        # size cut racing the timeout during the stall wins (generation).
-        yield from self._maybe_stall()
-        if generation == self._generation and not self._cutter.is_empty:
-            yield from self._cut(CutReason.TIMEOUT)
 
     # -- leadership ----------------------------------------------------------
 
-    def _usable_leader(self) -> Optional[RaftReplica]:
-        """The adopted leader, while it is alive and still believes it
-        leads. A stale minority leader is deliberately still usable:
+    def _ordering_cpu(self) -> Generator:
+        """Wait until the adopted leader is alive and still believes it
+        leads; return its node's CPU and the leader.
+
+        A stale minority leader is deliberately still usable:
         transactions proposed into its doomed log model client requests
         lost to the wrong side of a partition, and are re-proposed once
-        the majority side elects a successor."""
-        adopted = self._adopted
-        if adopted is not None and adopted.role == LEADER and not adopted.node.crashed:
-            return adopted
-        return None
-
-    def _await_leader(self) -> Generator:
+        the majority side elects a successor.
+        """
         while True:
-            leader = self._usable_leader()
-            if leader is not None:
-                return leader
+            leader = self._adopted
+            if leader is not None and leader.role == LEADER and not leader.node.crashed:
+                return leader.node.cpu, leader
             yield self._leader_event
 
     def _adopt(self, replica: RaftReplica) -> None:
@@ -209,12 +141,11 @@ class ReplicatedOrderingService:
             return
         self._adopted = replica
         self._adopted_term = replica.current_term
-        in_log: set = set()
-        for entry in replica.log:
-            for tx in entry.batch:
-                in_log.add(tx.tx_id)
-            for tx in entry.early_aborted:
-                in_log.add(tx.tx_id)
+        in_log = {
+            tx.tx_id
+            for entry in replica.log
+            for tx in entry.batch + entry.early_aborted
+        }
         requeued = 0
         for tx_id, transaction in list(self._pending.items()):
             if (
@@ -234,70 +165,31 @@ class ReplicatedOrderingService:
         waiters, self._leader_event = self._leader_event, self.env.event()
         waiters.succeed()
 
-    # -- cutting & proposing -------------------------------------------------
+    # -- proposing ----------------------------------------------------------
 
-    def _cut(self, reason: CutReason) -> Generator:
-        batch = self._cutter.cut(reason)
-        self._generation += 1
-        if not batch:  # pragma: no cover - cut() callers guard non-empty
-            return
-        yield from self._maybe_stall()
-        leader = yield from self._await_leader()
-        costs = self.config.costs
-        yield from leader.node.cpu.use(costs.order_block)
-        if self.tracer is not None:
-            self.tracer.charge("ordering", costs.order_block)
+    def _ship(
+        self,
+        leader: RaftReplica,
+        reason: CutReason,
+        cut_start: float,
+        cut: List[Transaction],
+        batch: List[Transaction],
+        early_aborted: List[Transaction],
+        result: Optional[ReorderResult],
+    ) -> Generator:
+        """Propose the transformed batch to the leader that ordered it.
 
-        early_aborted: List[Transaction] = []
-        if self.config.early_abort_ordering:
-            batch, version_aborts = self._apply_version_filter(batch)
-            early_aborted.extend(version_aborts)
-
-        if self.config.reordering and batch:
-            yield from leader.node.cpu.use(costs.reorder_per_tx * len(batch))
-            if self.tracer is not None:
-                self.tracer.charge(
-                    "ordering", costs.reorder_per_tx * len(batch), count=len(batch)
-                )
-            rwsets = [tx.rwset for tx in batch]
-            result = reorder(rwsets, max_cycles=self.config.max_cycles_per_block)
-            for index in result.aborted:
-                tx = batch[index]
-                tx.failure_reason = TxOutcome.EARLY_ABORT_CYCLE.value
-                early_aborted.append(tx)
-            batch = [batch[index] for index in result.schedule]
-
-        for tx in batch:
+        Leadership may have moved while the batch held the leader's CPU;
+        a refused proposal recycles the whole batch through the intake.
+        """
+        yield from ()
+        for tx in cut:
             self._unproposed.discard(tx.tx_id)
-        for tx in early_aborted:
-            self._unproposed.discard(tx.tx_id)
-
-        # Leadership may have moved while we held the leader's CPU; a
-        # refused proposal recycles the whole batch through the intake.
         if not leader.propose(batch, early_aborted):
-            for tx in list(batch) + early_aborted:
+            for tx in batch + early_aborted:
                 tx.failure_reason = None
                 self._unproposed.add(tx.tx_id)
                 self.incoming.put(tx)
-
-    def _apply_version_filter(
-        self, batch: List[Transaction]
-    ) -> Tuple[List[Transaction], List[Transaction]]:
-        """Within-block version-mismatch early abort (Section 5.2.2).
-
-        Unlike the single orderer, clients are notified only when the
-        entry carrying the abort *commits* — an abort proposed into a
-        doomed leader's log never happened.
-        """
-        kept_indices, aborted_indices = filter_stale_within_block(
-            [tx.rwset for tx in batch]
-        )
-        aborted: List[Transaction] = []
-        for index in aborted_indices:
-            tx = batch[index]
-            tx.failure_reason = TxOutcome.EARLY_ABORT_VERSION.value
-            aborted.append(tx)
-        return [batch[index] for index in kept_indices], aborted
 
     # -- committing ----------------------------------------------------------
 
@@ -332,26 +224,15 @@ class ReplicatedOrderingService:
             # Every transaction already committed through an earlier
             # entry: the whole block collapses and no id is consumed.
             return
-        for tx in batch:
+        for tx in batch + early:
             self._committed_tx_ids.add(tx.tx_id)
             self._pending.pop(tx.tx_id, None)
         for tx in early:
-            self._committed_tx_ids.add(tx.tx_id)
-            self._pending.pop(tx.tx_id, None)
             self._notify(tx.tx_id, TxOutcome(tx.failure_reason))
-        self.txs_early_aborted += len(early)
-        for tx in batch:
-            tx.ordered_at = self.env.now
-        block = Block.create(
-            self._next_block_id, self._tip_hash, batch, early_aborted=early
-        )
-        self._next_block_id += 1
-        self._tip_hash = block.header.data_hash
-        self.blocks_cut += 1
+        block = self._seal(batch, early)
         self.group.stats.entries_committed += 1
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.span(
+        if self.tracer is not None:
+            self.tracer.span(
                 "consensus.replicate",
                 cat="consensus",
                 track=f"consensus/{self.channel}",
@@ -360,19 +241,5 @@ class ReplicatedOrderingService:
                 batch=len(block.transactions),
                 early_aborts=len(early),
             )
-            for tx in batch + early:
-                if tx.orderer_arrival is not None:
-                    tracer.span(
-                        "orderer.queue",
-                        cat="order",
-                        track=f"orderer/{self.channel}/queue",
-                        start=tx.orderer_arrival,
-                        tx_id=tx.tx_id,
-                        mode=ASYNC,
-                    )
+            self._trace_queue_waits(batch + early)
         self._broadcast(self.channel, block)
-
-    def flush(self) -> Generator:
-        """Cut whatever is pending (used by tests to drain the pipeline)."""
-        if not self._cutter.is_empty:
-            yield from self._cut(CutReason.FLUSH)

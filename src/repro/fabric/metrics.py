@@ -17,6 +17,11 @@ from typing import Dict, List, Optional
 
 from repro.trace.cost import CostBreakdown
 
+#: Field metadata for :func:`repro.codec.merge`, which sums every other
+#: field when it folds per-channel stats into fleet stats.
+_FIRST = {"merge": "first"}
+_MAX = {"merge": "max"}
+
 
 class TxOutcome(enum.Enum):
     """Terminal states a fired proposal can reach."""
@@ -446,11 +451,11 @@ class ValidationStats:
     """
 
     #: Configuration the stats were collected under.
-    workers: int
-    pipeline_depth: int
+    workers: int = field(metadata=_FIRST)
+    pipeline_depth: int = field(metadata=_FIRST)
     #: Registry name of the CC strategy that collected the stats
     #: (``repro.validation.registry``).
-    strategy: str
+    strategy: str = field(metadata=_FIRST)
     #: Blocks / transactions committed through the pipeline.
     blocks: int = 0
     txs: int = 0
@@ -464,11 +469,13 @@ class ValidationStats:
     #: Total seconds tasks waited between submission and execution.
     queue_delay_total: float = 0.0
     #: Per-lane busy seconds (the utilisation numerator).
-    lane_busy: List[float] = field(default_factory=list)
+    lane_busy: List[float] = field(
+        default_factory=list, metadata={"merge": "extend"}
+    )
     #: Simulated time of the last pipeline commit. Lane busy time keeps
     #: accumulating through the drain window, past the measurement
     #: duration — utilisation divides by whichever horizon is longer.
-    horizon: float = 0.0
+    horizon: float = field(default=0.0, metadata=_MAX)
 
     def avg_critical_path(self) -> float:
         """Mean sequential MVCC waves per committed block."""
@@ -520,13 +527,13 @@ class ConsensusStats:
     """
 
     #: Nodes in the ordering cluster.
-    nodes: int = 0
+    nodes: int = field(default=0, metadata=_FIRST)
     #: Elections started (candidacies, including split-vote retries).
     elections_started: int = 0
     #: Leadership wins across every channel's Raft group.
     leader_changes: int = 0
     #: Highest Raft term reached by any group.
-    max_term: int = 0
+    max_term: int = field(default=0, metadata=_MAX)
     #: Consensus messages sent / lost to crashes and partitions.
     messages_sent: int = 0
     messages_dropped: int = 0
@@ -551,8 +558,8 @@ class OverloadStats:
     """
 
     #: The configured bounds the stats were collected under.
-    orderer_queue_limit: int = 0
-    endorse_queue_limit: int = 0
+    orderer_queue_limit: int = field(default=0, metadata=_FIRST)
+    endorse_queue_limit: int = field(default=0, metadata=_FIRST)
     #: Transactions offered to the ordering service (accepted + rejected).
     submissions: int = 0
     #: Submissions refused at a full orderer queue.
@@ -566,10 +573,10 @@ class OverloadStats:
     txs_shed: int = 0
     #: Orderer inbound queue depth: peak and per-submission sum (the
     #: average divides by ``submissions``).
-    queue_depth_peak: int = 0
+    queue_depth_peak: int = field(default=0, metadata=_MAX)
     queue_depth_sum: int = 0
     #: Peak concurrent endorsement requests at any peer.
-    endorse_inflight_peak: int = 0
+    endorse_inflight_peak: int = field(default=0, metadata=_MAX)
     #: Simulated seconds the orderer spent paused because a peer's
     #: delivered-block backlog sat at ``delivery_backlog_limit``.
     delivery_stall_seconds: float = 0.0

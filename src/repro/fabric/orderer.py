@@ -10,6 +10,14 @@ serializable schedule (Section 5.1).
 
 All channels' ordering processes run on one orderer machine and share its
 CPU, as in the paper's setup (one server runs the ordering service).
+
+:class:`OrderingService` is the whole pipeline: admission control, the
+receiver loop, stalls, the batch timer and the cut transform. The
+replicated service (:mod:`repro.consensus.service`) runs the same
+pipeline behind a Raft cluster and overrides three hooks: where the CPU
+comes from (:meth:`OrderingService._ordering_cpu`), when clients hear of
+an early abort (:attr:`OrderingService.NOTIFY_AT_CUT`) and what happens
+to a cut batch (:meth:`OrderingService._ship`).
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from typing import Callable, Generator, List, Optional
 
 from repro.core.batch_cutter import BatchCutter, CutReason
 from repro.core.early_abort import filter_stale_within_block
-from repro.core.reorder import reorder
+from repro.core.reorder import ReorderResult, reorder
 from repro.fabric.config import FabricConfig
 from repro.fabric.metrics import TxOutcome
 from repro.fabric.transaction import Transaction
@@ -36,12 +44,16 @@ DELIVERY_POLL_INTERVAL = 0.002
 class OrderingService:
     """The ordering pipeline of one channel."""
 
+    #: Clients hear of an early abort when the batch is cut. The Raft
+    #: facade defers it until the log entry carrying the abort commits.
+    NOTIFY_AT_CUT = True
+
     def __init__(
         self,
         env: Environment,
         channel: str,
         config: FabricConfig,
-        cpu: Resource,
+        cpu: Optional[Resource],
         broadcast: Callable[[str, Block], None],
         notify: Callable[[str, TxOutcome], None],
         tracer: Optional[Tracer] = None,
@@ -85,6 +97,15 @@ class OrderingService:
         """Id the next cut block will carry (committed tip + 1)."""
         return self._next_block_id
 
+    @property
+    def pending_count(self) -> int:
+        """Transactions accepted but not yet resolved (liveness probe).
+
+        The solo orderer resolves every transaction at its cut and keeps
+        no such set, so this is always 0.
+        """
+        return 0
+
     # -- receiving ---------------------------------------------------------------
 
     def submit(self, transaction: Transaction) -> bool:
@@ -95,6 +116,10 @@ class OrderingService:
         queue bound configured this always accepts, unbounded — the
         historical behavior.
         """
+        return self._admit(transaction)
+
+    def _admit(self, transaction: Transaction) -> bool:
+        """Admission control, then enqueue; False at a full bounded queue."""
         stats = self.overload
         if stats is not None:
             stats.submissions += 1
@@ -108,6 +133,7 @@ class OrderingService:
                 stats.queue_depth_peak = depth
         if self.tracer is not None:
             transaction.orderer_arrival = self.env.now
+        self.txs_received += 1
         self.incoming.put(transaction)
         return True
 
@@ -125,12 +151,21 @@ class OrderingService:
             if window.at <= self.env.now < window.until:
                 yield window.until - self.env.now
 
+    def _ordering_cpu(self) -> Generator:
+        """Hook: the CPU that orders next, and the Raft leader it belongs to.
+
+        The solo orderer owns one CPU and has no leader. It schedules no
+        event here, so healthy runs stay bit-identical.
+        """
+        yield from ()
+        return self.cpu, None
+
     def _receiver(self) -> Generator:
         while True:
             transaction = yield self.incoming.get()
-            self.txs_received += 1
             yield from self._maybe_stall()
-            yield from self.cpu.use(self.config.costs.order_tx)
+            cpu, _leader = yield from self._ordering_cpu()
+            yield from cpu.use(self.config.costs.order_tx)
             if self.tracer is not None:
                 self.tracer.charge("ordering", self.config.costs.order_tx)
             was_empty = self._cutter.is_empty
@@ -161,67 +196,85 @@ class OrderingService:
     # -- cutting -----------------------------------------------------------------
 
     def _cut(self, reason: CutReason) -> Generator:
-        batch = self._cutter.cut(reason)
+        """Cut the pending batch and transform it (Sections 5.1, 5.2.2):
+        drop stale reads, then reorder the survivors and drop the
+        transactions stuck in conflict cycles."""
+        cut = self._cutter.cut(reason)
         self._generation += 1
-        if not batch:  # pragma: no cover - cut() callers guard non-empty
+        if not cut:  # pragma: no cover - cut() callers guard non-empty
             return
-        tracer = self.tracer
         cut_start = self.env.now
-        arrivals = {tx.tx_id: tx.orderer_arrival for tx in batch}
+        tracer = self.tracer
         costs = self.config.costs
         yield from self._maybe_stall()
-        yield from self.cpu.use(costs.order_block)
+        cpu, leader = yield from self._ordering_cpu()
+        yield from cpu.use(costs.order_block)
         if tracer is not None:
             tracer.charge("ordering", costs.order_block)
 
+        batch = cut
         early_aborted: List[Transaction] = []
-        cycles_found = 0
-        reorder_wall_seconds = 0.0
-
+        result = None
         if self.config.early_abort_ordering:
-            batch, version_aborts = self._apply_version_filter(batch)
-            early_aborted.extend(version_aborts)
+            batch, early_aborted = self._apply_version_filter(batch)
 
         if self.config.reordering and batch:
-            yield from self.cpu.use(costs.reorder_per_tx * len(batch))
+            yield from cpu.use(costs.reorder_per_tx * len(batch))
             if tracer is not None:
                 tracer.charge(
                     "ordering", costs.reorder_per_tx * len(batch), count=len(batch)
                 )
             rwsets = [tx.rwset for tx in batch]
             result = reorder(rwsets, max_cycles=self.config.max_cycles_per_block)
-            cycles_found = result.cycles_found
-            reorder_wall_seconds = result.elapsed_seconds
             for index in result.aborted:
-                tx = batch[index]
-                tx.failure_reason = TxOutcome.EARLY_ABORT_CYCLE.value
-                self._notify(tx.tx_id, TxOutcome.EARLY_ABORT_CYCLE)
-                early_aborted.append(tx)
+                early_aborted.append(
+                    self._abort_early(batch[index], TxOutcome.EARLY_ABORT_CYCLE)
+                )
             batch = [batch[index] for index in result.schedule]
 
-        self.txs_early_aborted += len(early_aborted)
-
-        for tx in batch:
-            tx.ordered_at = self.env.now
-        block = Block.create(
-            self._next_block_id, self._tip_hash, batch, early_aborted=early_aborted
+        yield from self._ship(
+            leader, reason, cut_start, cut, batch, early_aborted, result
         )
-        self._next_block_id += 1
-        self._tip_hash = block.header.data_hash
-        self.blocks_cut += 1
+
+    def _apply_version_filter(self, batch: List[Transaction]):
+        """Within-block version-mismatch early abort (Section 5.2.2)."""
+        kept_indices, aborted_indices = filter_stale_within_block(
+            [tx.rwset for tx in batch]
+        )
+        aborted = [
+            self._abort_early(batch[index], TxOutcome.EARLY_ABORT_VERSION)
+            for index in aborted_indices
+        ]
+        return [batch[index] for index in kept_indices], aborted
+
+    def _abort_early(self, tx: Transaction, outcome: TxOutcome) -> Transaction:
+        tx.failure_reason = outcome.value
+        if self.NOTIFY_AT_CUT:
+            self._notify(tx.tx_id, outcome)
+        return tx
+
+    def _ship(
+        self,
+        leader,
+        reason: CutReason,
+        cut_start: float,
+        cut: List[Transaction],
+        batch: List[Transaction],
+        early_aborted: List[Transaction],
+        result: Optional[ReorderResult],
+    ) -> Generator:
+        """Hook: seal the transformed batch into a block and broadcast it.
+
+        ``cut`` is the batch as cut, ``batch``/``early_aborted`` what the
+        transform made of it, and ``result`` the reorder outcome (None
+        without reordering).
+        """
+        block = self._seal(batch, early_aborted)
+        tracer = self.tracer
         if tracer is not None:
             # Queue-wait spans: submission to cut, per transaction of the
             # batch (including the ones this cut early-aborted).
-            for tx_id, arrival in arrivals.items():
-                if arrival is not None:
-                    tracer.span(
-                        "orderer.queue",
-                        cat="order",
-                        track=f"orderer/{self.channel}/queue",
-                        start=arrival,
-                        tx_id=tx_id,
-                        mode=ASYNC,
-                    )
+            self._trace_queue_waits(cut)
             tracer.span(
                 "orderer.cut",
                 cat="order",
@@ -231,14 +284,41 @@ class OrderingService:
                 block_id=block.block_id,
                 batch=len(block.transactions),
                 early_aborts=len(early_aborted),
-                cycles_found=cycles_found,
+                cycles_found=result.cycles_found if result else 0,
                 # Wall-clock channel: the reordering computation's real
                 # elapsed time, reported here so deterministic result
                 # objects never carry it.
-                reorder_wall_seconds=reorder_wall_seconds,
+                reorder_wall_seconds=result.elapsed_seconds if result else 0.0,
             )
         yield from self._delivery_credit()
         self._broadcast(self.channel, block)
+
+    def _seal(
+        self, batch: List[Transaction], early_aborted: List[Transaction]
+    ) -> Block:
+        """Chain the next block over ``batch`` and its early aborts."""
+        self.txs_early_aborted += len(early_aborted)
+        for tx in batch:
+            tx.ordered_at = self.env.now
+        block = Block.create(
+            self._next_block_id, self._tip_hash, batch, early_aborted=early_aborted
+        )
+        self._next_block_id += 1
+        self._tip_hash = block.header.data_hash
+        self.blocks_cut += 1
+        return block
+
+    def _trace_queue_waits(self, transactions: List[Transaction]) -> None:
+        for tx in transactions:
+            if tx.orderer_arrival is not None:
+                self.tracer.span(
+                    "orderer.queue",
+                    cat="order",
+                    track=f"orderer/{self.channel}/queue",
+                    start=tx.orderer_arrival,
+                    tx_id=tx.tx_id,
+                    mode=ASYNC,
+                )
 
     def _delivery_credit(self) -> Generator:
         """Pause delivery while a peer's block backlog sits at the bound.
@@ -259,19 +339,6 @@ class OrderingService:
             yield DELIVERY_POLL_INTERVAL
         if self.overload is not None and self.env.now > stall_start:
             self.overload.delivery_stall_seconds += self.env.now - stall_start
-
-    def _apply_version_filter(self, batch: List[Transaction]):
-        """Within-block version-mismatch early abort (Section 5.2.2)."""
-        kept_indices, aborted_indices = filter_stale_within_block(
-            [tx.rwset for tx in batch]
-        )
-        aborted: List[Transaction] = []
-        for index in aborted_indices:
-            tx = batch[index]
-            tx.failure_reason = TxOutcome.EARLY_ABORT_VERSION.value
-            self._notify(tx.tx_id, TxOutcome.EARLY_ABORT_VERSION)
-            aborted.append(tx)
-        return [batch[index] for index in kept_indices], aborted
 
     def flush(self) -> Generator:
         """Cut whatever is pending (used by tests to drain the pipeline)."""

@@ -344,7 +344,7 @@ def run_scenario(
                 "fired proposals"
             )
     for channel, orderer in network.orderers.items():
-        pending = getattr(orderer, "pending_count", 0)
+        pending = orderer.pending_count
         if pending:
             liveness = False
             details.append(
@@ -395,21 +395,3 @@ def run_scenario(
         ),
         sim_time=network.env.now,
     )
-
-
-def run_scenario_suite(
-    name: str,
-    seeds,
-    system: str = "fabric",
-    max_convergence_rounds: int = 40,
-) -> List[ScenarioReport]:
-    """Run :func:`run_scenario` for every seed, in order."""
-    return [
-        run_scenario(
-            name,
-            seed,
-            system=system,
-            max_convergence_rounds=max_convergence_rounds,
-        )
-        for seed in seeds
-    ]

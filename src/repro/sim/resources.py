@@ -156,11 +156,6 @@ class RWLock:
         """Number of read locks currently held."""
         return self._readers
 
-    @property
-    def writer_active(self) -> bool:
-        """True while the exclusive write lock is held."""
-        return self._writer_active
-
     def acquire_read(self) -> Event:
         """Return an event that fires once a shared read lock is granted."""
         grant = self.env.event()

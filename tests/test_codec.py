@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis.records import RunRecord
 from repro.chaos import ChaosReport
-from repro.codec import from_dict, to_dict
+from repro.codec import from_dict, merge, to_dict
 from repro.errors import ConfigError
 from repro.fabric.metrics import (
     ChannelFleetStats,
@@ -95,3 +95,46 @@ def test_streaming_metrics_keep_their_own_form():
     streaming.latency.add(0.25)
     rebuilt = from_dict(StreamingMetrics, json.loads(json.dumps(to_dict(streaming))))
     assert to_dict(rebuilt) == to_dict(streaming)
+
+
+def test_merge_folds_each_field_by_its_rule():
+    merged = merge(
+        ValidationStats,
+        [
+            ValidationStats(2, 1, "dependency", blocks=3, lane_busy=[0.5], horizon=4.0),
+            None,
+            ValidationStats(4, 2, "serial", blocks=5, lane_busy=[0.25, 1], horizon=3.0),
+        ],
+    )
+    assert merged == ValidationStats(
+        2, 1, "dependency", blocks=8, lane_busy=[0.5, 0.25, 1], horizon=4.0
+    )
+    consensus = merge(
+        ConsensusStats, [ConsensusStats(3, max_term=2), ConsensusStats(5, max_term=7)]
+    )
+    assert (consensus.nodes, consensus.max_term) == (3, 7)
+    overload = merge(
+        OverloadStats,
+        [
+            OverloadStats(orderer_queue_limit=16, queue_depth_peak=9, submissions=4),
+            OverloadStats(orderer_queue_limit=32, queue_depth_peak=3, submissions=6),
+        ],
+    )
+    assert (overload.orderer_queue_limit, overload.queue_depth_peak) == (16, 9)
+    assert overload.submissions == 10
+
+
+def test_merge_sums_floats_in_item_order():
+    values = [0.1, 0.2, 0.3, 1e16, -1e16]
+    merged = merge(
+        OverloadStats, [OverloadStats(delivery_stall_seconds=v) for v in values]
+    )
+    total = 0.0
+    for value in values:
+        total += value
+    assert merged.delivery_stall_seconds == total
+
+
+def test_merge_of_nothing_is_none():
+    assert merge(ConsensusStats, []) is None
+    assert merge(ConsensusStats, [None, None]) is None
